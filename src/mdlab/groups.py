@@ -107,6 +107,39 @@ class GroupRealization:
             self._grow_one_sphere()
         return self._lengths[a]
 
+    def pair_values(self, elements: list, f: Callable, dtype) -> np.ndarray:
+        """Matrix f(s_i^-1 s_j) over an ordered finite subset, f once per pair.
+
+        Products are almost all distinct on infinite groups, so a memo would
+        cost more than it saves; the values go into the array in one step.
+        """
+        n = len(elements)
+        inv = [self.inverse(s) for s in elements]
+        mul = self.multiply
+        return np.fromiter((f(mul(a, b)) for a in inv for b in elements),
+                           dtype=dtype, count=n * n).reshape(n, n)
+
+    def pair_lengths(self, elements: list, horizon: int | None = None) -> np.ndarray:
+        """Integer matrix L[i, j] = |s_i^-1 s_j| over an ordered finite subset.
+
+        Generic route: one product per pair and one word-length lookup per
+        distinct product, taken in row-major order of first appearance, so a
+        product beyond the BFS horizon raises exactly when an entry-by-entry
+        lookup would.  Realizations with a closed form override this.
+        """
+        n = len(elements)
+        inv = [self.inverse(s) for s in elements]
+        mul = self.multiply
+        # number each distinct product as it first appears: one hash per pair
+        distinct: dict = {}
+        number = distinct.setdefault
+        slots = [number(mul(a, b), len(distinct)) for a in inv for b in elements]
+        known = self._lengths  # explored elements need no validation or search
+        lengths = np.fromiter(
+            (known[t] if t in known else self.word_length(t, horizon) for t in distinct),
+            dtype=np.intp, count=len(distinct))
+        return lengths[np.array(slots, dtype=np.intp)].reshape(n, n)
+
     def _explored_radius(self) -> int:
         return len(self._layers) - 1
 
@@ -175,6 +208,27 @@ class FreeGroup(GroupRealization):
     def word_length(self, a, horizon: int | None = None) -> int:
         self.validate(a)
         return len(a)
+
+    def pair_lengths(self, elements: list, horizon: int | None = None) -> np.ndarray:
+        """|s^-1 t| = |s| + |t| - 2 lcp(s, t) for reduced words, all pairs at once."""
+        for s in elements:
+            self.validate(s)
+        n = len(elements)
+        lens = np.fromiter(map(len, elements), dtype=np.intp, count=n)
+        width = int(lens.max(initial=0))
+        # letters padded with 0, which is no letter, so padding never matches
+        letters = np.array([s + (0,) * (width - len(s)) for s in elements],
+                           dtype=np.int8).reshape(n, width)
+        L = lens[:, None] + lens[None, :]
+        common = np.ones((n, n), dtype=bool)  # pairs whose prefixes agree so far
+        for col in letters.T:
+            common &= col[:, None] == col[None, :]
+            common &= (col != 0)[:, None]
+            # each shared letter cancels once in s and once in t (in place,
+            # so the only n x n temporaries are booleans)
+            L -= common
+            L -= common
+        return L
 
     def sort_key(self, a):
         return (len(a), tuple((abs(l), l < 0) for l in a))
@@ -249,6 +303,24 @@ class ZnGroup(GroupRealization):
         self.validate(a)
         return sum(abs(x) for x in a)
 
+    def pair_lengths(self, elements: list, horizon: int | None = None) -> np.ndarray:
+        """L1 norms of all coordinate differences, by broadcasting.
+
+        Coordinates too large for int64 differences are summed as Python
+        integers (object dtype), so lengths are exact at every size.
+        """
+        for s in elements:
+            self.validate(s)
+        n = len(elements)
+        bound = max((abs(x) for s in elements for x in s), default=0)
+        dtype = np.int64 if 2 * bound * self.n < 2 ** 63 else object
+        coords = np.array(elements, dtype=dtype).reshape(n, self.n)
+        L = np.zeros((n, n), dtype=dtype)
+        for col in coords.T:
+            diff = col[None, :] - col[:, None]
+            L += np.abs(diff, out=diff)
+        return L
+
     def sort_key(self, a):
         return (sum(abs(x) for x in a), a)
 
@@ -275,9 +347,10 @@ class ZnGroup(GroupRealization):
 class FiniteGroup(GroupRealization):
     """Finite group given by its multiplication table.
 
-    table[i][j] is the index of g_i * g_j.  The identity is located by
-    scanning the table; inverses are precomputed.  The generating set
-    defaults to every non-identity element and must be symmetric.
+    table[i, j] is the index of g_i * g_j, held as an int64 array.  The
+    identity is the first element acting trivially on both sides; inverses
+    are precomputed.  The generating set defaults to every non-identity
+    element and must be symmetric.
     """
 
     kind = "finite"
@@ -285,33 +358,32 @@ class FiniteGroup(GroupRealization):
     def __init__(self, table: Iterable[Iterable[int]],
                  generators: list[int] | None = None,
                  names: list[str] | None = None):
-        tab = tuple(tuple(int(x) for x in row) for row in table)
-        n = len(tab)
-        if n == 0 or any(len(row) != n for row in tab):
+        rows = [list(row) for row in table]
+        n = len(rows)
+        if n == 0 or any(len(row) != n for row in rows):
             raise GroupError("multiplication table must be square and nonempty")
-        for row in tab:
-            for x in row:
-                if not 0 <= x < n:
-                    raise GroupError(f"table entry {x} out of range 0..{n-1}")
-        ident = None
-        for e in range(n):
-            if all(tab[e][x] == x and tab[x][e] == x for x in range(n)):
-                ident = e
-                break
-        if ident is None:
+        try:
+            tab = np.array(rows, dtype=np.int64)  # converts entries as int() does
+        except OverflowError:
+            tab = None
+        if tab is None or ((tab < 0) | (tab >= n)).any():
+            # name the first bad entry in row-major order
+            x = next(int(x) for row in rows for x in row if not 0 <= int(x) < n)
+            raise GroupError(f"table entry {x} out of range 0..{n-1}")
+        ar = np.arange(n)
+        trivial = (tab == ar[None, :]).all(axis=1) & (tab == ar[:, None]).all(axis=0)
+        if not trivial.any():
             raise GroupError("table has no identity element")
-        inv = [None] * n
-        for x in range(n):
-            for y in range(n):
-                if tab[x][y] == ident and tab[y][x] == ident:
-                    inv[x] = y
-                    break
-            if inv[x] is None:
-                raise GroupError(f"element {x} has no inverse; not a group table")
+        ident = int(np.argmax(trivial))
+        two_sided = (tab == ident) & (tab.T == ident)
+        missing = ~two_sided.any(axis=1)
+        if missing.any():
+            raise GroupError(f"element {int(np.argmax(missing))} has no inverse; "
+                             "not a group table")
         self.table = tab
         self.order = n
         self._identity = ident
-        self._inv = tuple(inv)
+        self._inv = np.argmax(two_sided, axis=1)
         if names is not None:
             if len(names) != n:
                 raise GroupError("names list must match the table size")
@@ -342,11 +414,32 @@ class FiniteGroup(GroupRealization):
     def multiply(self, a, b):
         self.validate(a)
         self.validate(b)
-        return self.table[a][b]
+        return self.table.item(a, b)
 
     def inverse(self, a):
         self.validate(a)
-        return self._inv[a]
+        return self._inv.item(a)
+
+    def pair_values(self, elements: list, f: Callable, dtype) -> np.ndarray:
+        """Matrix f(s_i^-1 s_j) with f evaluated once per distinct product.
+
+        Products are gathered from the table; f sees plain int indices in
+        increasing order.
+        """
+        for s in elements:
+            self.validate(s)
+        idx = np.array(elements, dtype=np.intp)
+        products = self.table[self._inv[idx][:, None], idx[None, :]]
+        seen = np.zeros(self.order, dtype=bool)
+        seen[products] = True
+        distinct = np.flatnonzero(seen)
+        values = np.zeros(self.order, dtype=dtype)
+        values[distinct] = np.fromiter(map(f, distinct.tolist()), dtype=dtype,
+                                       count=distinct.size)
+        return values[products]
+
+    def pair_lengths(self, elements: list, horizon: int | None = None) -> np.ndarray:
+        return self.pair_values(elements, lambda t: self.word_length(t, horizon), np.intp)
 
     def sort_key(self, a):
         return a
@@ -607,14 +700,23 @@ def build_ball(group: GroupRealization, radius: int, cap: int = 500_000) -> Ball
 
 
 def gram_matrix(group: GroupRealization, phi: Callable, elements: list) -> np.ndarray:
-    """Matrix M[i][j] = phi(s_i^-1 s_j) over an ordered finite subset."""
-    n = len(elements)
-    inv = [group.inverse(s) for s in elements]
-    M = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            M[i, j] = phi(group.multiply(inv[i], elements[j]))
-    return M
+    """Complex matrix M[i][j] = phi(s_i^-1 s_j) over an ordered finite subset.
+
+    Every route gives the matrix that evaluating phi entry by entry gives,
+    bit for bit.  A radial multiplier on this group (a phi with kind
+    "radial", coeffs and horizon, as mdlab.multipliers.Multiplier has) is
+    read off its coefficient list, zero past the end, at the pair word
+    lengths, which each realization computes for all pairs at once
+    (pair_lengths).  Any other phi goes through pair_values: once per
+    distinct product on a finite group, once per pair elsewhere.
+    """
+    elements = list(elements)
+    if getattr(phi, "kind", None) == "radial" and getattr(phi, "group", None) is group:
+        coeffs = phi.coeffs
+        table = np.array(coeffs + [0j], dtype=complex)
+        L = group.pair_lengths(elements, phi.horizon)
+        return table[np.minimum(L, len(coeffs), out=L).astype(np.intp, copy=False)]
+    return group.pair_values(elements, phi, complex)
 
 
 # ---------------------------------------------------------------------------

@@ -112,7 +112,7 @@ class Multiplier:
         if self.kind == "finite":
             return self._support.get(t, 0j)
         if self.kind == "radial":
-            ell = self.group.word_length(t, horizon=max(16, len(self._coeffs) + 2))
+            ell = self.group.word_length(t, horizon=self.horizon)
             if ell < len(self._coeffs):
                 return self._coeffs[ell]
             return 0j
@@ -128,6 +128,13 @@ class Multiplier:
         if self.kind != "radial":
             raise MultiplierError("coeffs needs a radial multiplier")
         return list(self._coeffs)
+
+    @property
+    def horizon(self) -> int:
+        """BFS horizon of the word-length lookups behind a radial value."""
+        if self.kind != "radial":
+            raise MultiplierError("horizon needs a radial multiplier")
+        return max(16, len(self._coeffs) + 2)
 
     def sup_abs(self) -> float:
         """Exact sup of |phi| over the whole group, when the data allows it."""
@@ -753,8 +760,9 @@ def compute_bracket(group, phi, d: int, ball, certificate=None,
 
     window_cap caps the dense solve: it counts window elements, doubled
     when the Gram data is genuinely complex (the solver then works on the
-    realified matrix of twice the size).  The default keeps the worst
-    window under roughly half a minute.
+    realified matrix of twice the size).  A window over the cap before
+    doubling gets no Gram at all.  The default keeps the worst window under
+    roughly half a minute.
     """
     if d < 1:
         raise ValueError("order d must be >= 1")
@@ -768,10 +776,11 @@ def compute_bracket(group, phi, d: int, ball, certificate=None,
     else:
         lower, lower_prov = sup_abs_window(phi, elements), "sup-window"
     if d >= 2:
-        gram = gram_matrix(group, phi, elements)
         size = len(elements)
-        if np.iscomplexobj(gram) and np.any(gram.imag):
-            size *= 2
+        if size <= window_cap:
+            gram = gram_matrix(group, phi, elements)
+            if np.any(gram.imag):
+                size *= 2
         if size <= window_cap:
             sdp_lower, info = m2_lower_bound(group, phi, elements,
                                              tol=sdp_tol, max_iter=sdp_max_iter,

@@ -473,10 +473,25 @@ def write_matrix_binary(fh, A: np.ndarray) -> None:
 
 
 def read_matrix_binary(fh) -> np.ndarray:
+    """Read the write_matrix_binary format from a seekable binary handle.
+
+    The header's m x n is checked against the bytes left in the file before
+    anything is read, so a header that overstates the size fails without
+    allocating what it claims.
+    """
     magic = fh.read(5)
     if magic != _MAGIC:
         raise ValueError(f"bad matrix file magic {magic!r}")
-    m, n = struct.unpack("<II", fh.read(8))
+    header = fh.read(8)
+    if len(header) != 8:
+        raise ValueError("truncated matrix header")
+    m, n = struct.unpack("<II", header)
+    here = fh.tell()
+    left = fh.seek(0, 2) - here
+    fh.seek(here)
+    if left < 16 * m * n:
+        raise ValueError(f"matrix header claims {m}x{n} entries but only "
+                         f"{left} bytes follow")
     raw = fh.read(16 * m * n)
     if len(raw) != 16 * m * n:
         raise ValueError("truncated matrix file")

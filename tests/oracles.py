@@ -109,3 +109,15 @@ def indicator01_circle_integral(samples: int = 2_000_001) -> float:
     val = float(np.mean(np.abs(1.0 + np.exp(-1j * theta))))
     assert abs(val - 4.0 / math.pi) < 1e-9
     return 4.0 / math.pi
+
+
+def gram_matrix_reference(group, phi, elements) -> np.ndarray:
+    """M[i][j] = phi(s_i^-1 s_j), one product, one phi call and one array
+    store per entry: the loop every gram_matrix route must match bit for bit."""
+    n = len(elements)
+    inv = [group.inverse(s) for s in elements]
+    M = np.empty((n, n), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            M[i, j] = phi(group.multiply(inv[i], elements[j]))
+    return M

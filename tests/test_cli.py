@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -85,6 +86,11 @@ class TestSchur:
             write_matrix_binary(fh, np.eye(3))
         assert main(["schur", "--matrix", str(m), "--out", str(tmp_path)]) == 0
         assert capsys.readouterr().out.strip() == "1.000000"
+
+    def test_binary_header_larger_than_the_file(self, tmp_path):
+        m = tmp_path / "huge.bin"
+        m.write_bytes(b"SCHR1" + struct.pack("<II", 65535, 65535))
+        assert main(["schur", "--matrix", str(m), "--out", str(tmp_path)]) == 2
 
     def test_malformed_csv(self, tmp_path):
         m = tmp_path / "bad.csv"

@@ -27,7 +27,9 @@ from mdlab.groups import (
     load_group,
 )
 
-from oracles import bfs_sphere_sizes, free_sphere_size, zn_ball_size
+from mdlab.multipliers import Multiplier
+
+from oracles import bfs_sphere_sizes, free_sphere_size, gram_matrix_reference, zn_ball_size
 
 
 def naive_reduce(word):
@@ -170,6 +172,28 @@ class TestFiniteGroup:
             FiniteGroup([[0, 1], [0, 1]])
         with pytest.raises(GroupError):
             FiniteGroup([[0, 1], [1, 0]], generators=[0])
+
+    def test_rejection_messages(self):
+        cases = [
+            ([[0, 1], [1]], "multiplication table must be square and nonempty"),
+            ([], "multiplication table must be square and nonempty"),
+            ([[0, 2], [1, 0]], "table entry 2 out of range 0..1"),
+            ([[0, -1], [2 ** 70, 0]], "table entry -1 out of range 0..1"),
+            ([[0, 2 ** 70], [1, 0]], f"table entry {2 ** 70} out of range 0..1"),
+            ([[0, 0], [0, 0]], "table has no identity element"),
+            ([[0, 1], [0, 1]], "table has no identity element"),  # left identity only
+            ([[0, 1], [1, 1]], "element 1 has no inverse; not a group table"),
+        ]
+        for table, message in cases:
+            with pytest.raises(GroupError) as info:
+                FiniteGroup(table)
+            assert str(info.value) == message
+
+    def test_entries_convert_as_int_does(self):
+        g = FiniteGroup([["0", 1.0], [True, 0]])
+        assert g.table.tolist() == [[0, 1], [1, 0]]
+        assert type(g.multiply(1, 1)) is int and type(g.inverse(1)) is int
+        assert type(g.identity) is int
 
     def test_saturated_ball_has_empty_outer_spheres(self):
         table = [[(i + j) % 3 for j in range(3)] for i in range(3)]
@@ -345,6 +369,128 @@ class TestGram:
         phi = lambda x: vals.get(x, 0) + np.conj(vals.get(g.inverse(x), 0))
         M = gram_matrix(g, phi, ball.elements_up_to(1))
         assert np.allclose(M, M.conj().T)
+
+
+def sl2_mod_p_table(p):
+    """Multiplication table of SL(2, Z/p) and the indices of T, T^-1, S, S^-1."""
+    els = [e for e in itertools.product(range(p), repeat=4)
+           if (e[0] * e[3] - e[1] * e[2]) % p == 1]
+    idx = {e: i for i, e in enumerate(els)}
+
+    def mul(x, y):
+        a, b, c, d = x
+        e, f, g, h = y
+        return ((a * e + b * g) % p, (a * f + b * h) % p,
+                (c * e + d * g) % p, (c * f + d * h) % p)
+
+    table = [[idx[mul(x, y)] for y in els] for x in els]
+    gens = [idx[(1, 1, 0, 1)], idx[(1, p - 1, 0, 1)],
+            idx[(0, p - 1, 1, 0)], idx[(0, 1, p - 1, 0)]]
+    return table, gens
+
+
+def make_group(kind):
+    """A fresh realization (cold BFS cache) and the ball radius tested on it."""
+    if kind == "free":
+        return FreeGroup(2), 3
+    if kind == "zn":
+        return ZnGroup(2), 4
+    if kind == "finite":
+        table, gens = sl2_mod_p_table(5)
+        return FiniteGroup(table, generators=gens), 4
+    if kind == "sl2z":
+        return SL2Z(), 3
+    return SL2ZSemidirect(), 2
+
+
+GROUP_KINDS = ("free", "zn", "finite", "sl2z", "sl2z_semidirect")
+
+
+def sample_phis(g, ball):
+    """Radial (short and full coefficient lists), finite, and a plain function."""
+    R = ball.radius
+    return {
+        "radial-short": Multiplier.radial(g, [0.7 ** k * (1 + 0.2j * k) for k in range(R + 1)]),
+        "radial-full": Multiplier.radial(g, [0.6 ** k for k in range(2 * R + 1)]),
+        "finite": Multiplier.finite(g, {x: complex(i + 1, -i)
+                                        for i, x in enumerate(ball.elements[:7])}),
+        "lambda": lambda t: (len(g.element_to_string(t)) + 1j) ** 0.5,
+    }
+
+
+def assert_same_gram(g, phi, window):
+    want = gram_matrix_reference(g, phi, window)
+    got = gram_matrix(g, phi, window)
+    assert got.dtype == np.complex128
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()
+
+
+class TestGramRoutes:
+    """Every gram_matrix route against the entry-by-entry reference loop."""
+
+    @pytest.mark.parametrize("kind", GROUP_KINDS)
+    @pytest.mark.parametrize("phi_name", ["radial-short", "radial-full", "finite", "lambda"])
+    def test_ball_windows(self, kind, phi_name):
+        g, R = make_group(kind)
+        ball = build_ball(g, R)
+        phi = sample_phis(g, ball)[phi_name]
+        shuffled = list(ball.elements)
+        random.Random(5).shuffle(shuffled)
+        for window in (ball.elements, [], ball.elements[:1], ball.elements[-1:], shuffled):
+            assert_same_gram(g, phi, window)
+
+    def test_radial_past_the_horizon_raises_like_the_reference(self):
+        t = SL2Z.T
+        t10 = ((1, 10), (0, 1))
+        window = [SL2Z().inverse(t10), SL2Z().identity, t, t10]
+        messages = []
+        for gram in (gram_matrix_reference, gram_matrix):
+            g = SL2Z()
+            phi = Multiplier.radial(g, [0.5, 0.25])
+            with pytest.raises(BallTooSmallError) as info:
+                gram(g, phi, window)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
+    def test_finite_radial_past_the_horizon_raises(self):
+        cyclic = [[(i + j) % 40 for j in range(40)] for i in range(40)]
+        for gram in (gram_matrix_reference, gram_matrix):
+            g = FiniteGroup(cyclic, generators=[1, 39])
+            with pytest.raises(BallTooSmallError):
+                gram(g, Multiplier.radial(g, [1.0]), [0, 20])
+
+    def test_radial_on_another_instance_takes_the_generic_route(self):
+        g = SL2Z()
+        ball = build_ball(g, 2)
+        phi = Multiplier.radial(SL2Z(), [1.0, 0.5, 0.25])
+        assert_same_gram(g, phi, ball.elements)
+
+    def test_lattice_coordinates_beyond_int64(self):
+        g = ZnGroup(2)
+        big = 2 ** 70
+        window = [(big, 0), (big, 1), (-big, 3), (0, 0)]
+        assert_same_gram(g, Multiplier.radial(g, [1.0, 0.5, 0.25]), window)
+
+    def test_malformed_elements_raise_group_errors(self):
+        for g, window in ((ZnGroup(2), [(0, 0), (1, 2, 3)]),
+                          (FreeGroup(2), [(1, -1), ()]),
+                          (FiniteGroup([[0, 1], [1, 0]]), [0, 2])):
+            phi = Multiplier.radial(g, [1.0, 0.5])
+            for gram in (gram_matrix_reference, gram_matrix):
+                with pytest.raises(GroupError):
+                    gram(g, phi, window)
+
+    @given(st.sampled_from(["free", "zn"]), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_random_subsets(self, kind, data):
+        g, R = make_group(kind)
+        ball = build_ball(g, R)
+        picks = data.draw(st.lists(st.integers(0, len(ball) - 1), unique=True, max_size=40))
+        coeffs = data.draw(st.lists(st.complex_numbers(max_magnitude=2, allow_nan=False),
+                                    max_size=2 * R + 3))
+        window = [ball.elements[i] for i in picks]
+        assert_same_gram(g, Multiplier.radial(g, coeffs), window)
 
 
 class TestLoadGroup:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from mdlab.groups import (
     FiniteGroup,
     FreeGroup,
+    SL2Z,
     SL2ZSemidirect,
     ZnGroup,
     build_ball,
@@ -466,6 +467,22 @@ class TestBrackets:
         assert br.lower > 1.05  # strictly above the sup of |phi|
         assert br.lower <= br.upper
         assert "window-limited" in br.flags
+
+    def test_window_over_the_cap_gets_no_gram(self):
+        # |B| = 916 > window_cap, and |s^-1 t| reaches 18 > the radial
+        # multiplier's horizon 16: assembling the unused Gram would raise
+        g = SL2Z()
+        ball = build_ball(g, 9)
+        phi = Multiplier.radial(g, [1.0, -0.5, 0.25j], name="rad")
+        br = compute_bracket(g, phi, 2, ball)
+        assert br == NormBracket("rad", 2, 9, 1.0, math.inf, "sup-exact", "none",
+                                 ("window-too-large-for-sdp",))
+
+    def test_complex_window_doubled_over_the_cap(self):
+        phi = Multiplier.finite(Z, {(0,): 1.0, (1,): 0.5j}, name="cplx")
+        br = compute_bracket(Z, phi, 2, build_ball(Z, 20))
+        assert br == NormBracket("cplx", 2, 20, 1.0, math.inf, "sup-exact", "none",
+                                 ("window-too-large-for-sdp",))
 
     def test_order_one_finite_is_exact(self):
         phi = indicator01()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -220,6 +221,27 @@ def test_matrix_binary_rejects_garbage():
     write_matrix_binary(buf, np.ones((2, 2)))
     with pytest.raises(ValueError):
         read_matrix_binary(io.BytesIO(buf.getvalue()[:-8]))
+    with pytest.raises(ValueError):
+        read_matrix_binary(io.BytesIO(b"SCHR1" + b"\x02\0\0"))
+
+
+class _RecordingReader(io.BytesIO):
+    """In-memory file that records every size passed to read()."""
+
+    def __init__(self, data):
+        super().__init__(data)
+        self.asked = []
+
+    def read(self, size=-1):
+        self.asked.append(size)
+        return super().read(size)
+
+
+def test_matrix_binary_header_checked_before_reading():
+    fh = _RecordingReader(b"SCHR1" + struct.pack("<II", 65535, 65535) + b"\0" * 32)
+    with pytest.raises(ValueError, match="65535x65535"):
+        read_matrix_binary(fh)
+    assert max(fh.asked) <= 8
 
 
 def test_matrix_csv_rejects_ragged():
