@@ -1,90 +1,3 @@
 """Certified lower/upper brackets for multiplier norms on finitely generated groups."""
 
-from mdlab.config import DEFAULTS, RunConfig, resolve_config
-from mdlab.groups import (
-    Ball,
-    BallCapError,
-    BallTooSmallError,
-    FiniteGroup,
-    FreeGroup,
-    GroupError,
-    SL2Z,
-    SL2ZSemidirect,
-    ZnGroup,
-    build_ball,
-    gram_matrix,
-    load_group,
-)
-from mdlab.schur import (
-    SchurSolution,
-    SolverError,
-    certificate_lower_bound,
-    psd_check,
-    read_matrix_binary,
-    read_matrix_csv,
-    schur_norm,
-    verify_witness,
-    witness_upper_bound,
-    write_matrix_binary,
-    write_matrix_csv,
-)
-from mdlab.multipliers import (
-    CertificateError,
-    CertificateReport,
-    LatticeShiftCertificate,
-    MatrixRepCertificate,
-    Multiplier,
-    MultiplierError,
-    NormBracket,
-    circle_quadrature_certificate,
-    compute_bracket,
-    constant_certificate,
-    coset_average,
-    cstar_norm_finite,
-    density_quadrature_certificate,
-    extension_limit,
-    extension_multiplier,
-    folner_approximants,
-    folner_certificate,
-    folner_multiplier,
-    folner_tent_value,
-    inflate_multiplier,
-    m2_lower_bound,
-    md_upper_from_certificate,
-    pairing,
-    pairing_duality_check,
-    read_brackets_csv,
-    regular_compression_norm,
-    restrict_multiplier,
-    sup_abs_window,
-    verify_certificate,
-    write_brackets_csv,
-)
-from mdlab.families import (
-    ConvergenceReport,
-    ConvergenceRow,
-    FamilyError,
-    TreeFamily,
-    TreeFamilyPoint,
-    averaged_bound,
-    averaged_family_bound,
-    convergence_report,
-    empirical_bound,
-    family_report,
-    fejer_bracket,
-    fejer_bracket_tree,
-    fejer_kernel_coeff,
-    fejer_kernel_value,
-    fejer_multiplier,
-    fejer_nodes,
-    fejer_poisson_density,
-    holomorphy_check,
-    power_coefficient,
-    quadrature_average,
-    radial_power,
-    tree_family_point,
-    write_convergence_csv,
-    write_family_report,
-)
-
 __version__ = "0.1.0"

@@ -60,6 +60,7 @@ from mdlab.families import (
     fejer_bracket,
     fejer_bracket_tree,
     write_convergence_csv,
+    write_family_report,
 )
 
 __all__ = ["main"]
@@ -92,25 +93,14 @@ def _load_group_arg(args, default: dict | None = None):
     return load_group(default)
 
 
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(p) for p in text.split(",") if p.strip()]
-    except ValueError as exc:
-        raise ValueError(f"bad integer list {text!r}") from exc
-
-
-def _float_list(text: str) -> list[float]:
-    try:
-        return [float(p) for p in text.split(",") if p.strip()]
-    except ValueError as exc:
-        raise ValueError(f"bad float list {text!r}") from exc
-
-
-def _complex_list(text: str) -> list[complex]:
-    try:
-        return [complex(p) for p in text.split(",") if p.strip()]
-    except ValueError as exc:
-        raise ValueError(f"bad complex list {text!r}") from exc
+def _list_of(kind, label: str):
+    """Argument type: a comma-separated list of kind, e.g. "4,8,16"."""
+    def parse(text: str) -> list:
+        try:
+            return [kind(p) for p in text.split(",") if p.strip()]
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"bad {label} list {text!r}") from exc
+    return parse
 
 
 def _grid(n_list: list[int], r_list: list[float]) -> list[tuple[int, float]]:
@@ -250,7 +240,7 @@ def cmd_fejer(args, cfg: RunConfig) -> int:
                                       sdp_tol=cfg.tol,
                                       sdp_max_iter=cfg.max_iter))
     elif isinstance(group, FreeGroup):
-        family = TreeFamily(group.rank, args.family_radius)
+        family = TreeFamily(group.rank, args.family_radius, cap=cfg.ball_cap)
         for N, r in pairs_nr:
             rows.append(fejer_bracket_tree(family, N, r, args.d,
                                            quad_factor=cfg.quad_factor,
@@ -318,8 +308,7 @@ def cmd_report(args, cfg: RunConfig) -> int:
         points.append(family_report(point))
     payload = {"config": dict(cfg.header_items()), "points": points}
     path = os.path.join(args.out, "family_report.json")
-    _atomic_write(path, lambda fh: (json.dump(payload, fh, sort_keys=True,
-                                              indent=2), fh.write("\n")))
+    _atomic_write(path, lambda fh: write_family_report(fh, payload))
     print(f"wrote {path} ({len(points)} points)")
     return 0
 
@@ -368,8 +357,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("fejer", parents=[shared],
                        help="kernel-smoothing convergence sweep")
-    q.add_argument("--N-list", dest="n_list", type=_int_list, required=True)
-    q.add_argument("--r-list", dest="r_list", type=_float_list, required=True)
+    q.add_argument("--N-list", dest="n_list", type=_list_of(int, "integer"),
+                   required=True)
+    q.add_argument("--r-list", dest="r_list", type=_list_of(float, "float"),
+                   required=True)
     q.add_argument("-d", type=int, default=2)
     q.add_argument("-C", "--bound", type=float, default=1.0,
                    help="uniform constant the uppers are audited against")
@@ -379,7 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("extension", parents=[shared],
                        help="amenable-extension convergence sweep")
-    q.add_argument("--k-list", dest="k_list", type=_int_list, required=True)
+    q.add_argument("--k-list", dest="k_list", type=_list_of(int, "integer"),
+                   required=True)
     q.add_argument("-d", type=int, default=2)
     q.set_defaults(func=cmd_extension)
 
@@ -387,8 +379,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="tree-family residual report over a parameter grid")
     q.add_argument("--rank", type=int, default=2)
     q.add_argument("-R", "--radius", type=int, default=4)
-    q.add_argument("--z-list", dest="z_list", type=_complex_list,
-                   default=_complex_list(_DEFAULT_GRID))
+    complex_list = _list_of(complex, "complex")
+    q.add_argument("--z-list", dest="z_list", type=complex_list,
+                   default=complex_list(_DEFAULT_GRID))
     q.set_defaults(func=cmd_report)
     return p
 

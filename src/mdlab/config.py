@@ -27,19 +27,11 @@ def fmt(x: float) -> str:
 class RunConfig:
     tol: float = 1e-6              # SDP solver accuracy target
     max_iter: int = 500            # SDP iteration cap
-    psd_tol: float = 1e-10         # eigenvalue slack for PSD checks
     ball_cap: int = 500_000        # max elements any ball enumeration may hold
-    bfs_horizon: int = 12          # word-length search radius on matrix groups
     quad_factor: int = 4           # quadrature nodes per unit of degree: Q = quad_factor*(N+1)
-    coeff_cutoff: float = 1e-14    # averaged coefficients below this are dropped (mass recorded)
-    cert_tol: float = 1e-9         # residual bound for certified factorizations
-    rep_tol: float = 1e-12         # homomorphism/unitarity residual cap for unitary reps
-    verify_cap: int = 200_000      # exhaustive certificate check above this many tuples -> sampling
-    verify_samples: int = 2000     # sample count when exhaustive verification is off
     window_radius: int = 1         # ball radius for pointwise-convergence residuals
     success_residual: float = 0.01 # residual under which a convergence run is flagged SUCCESS
-    interior_margin: int = 2       # family contract checks run on lengths <= R - margin
-    seed: int = 0
+    seed: int = 0                  # echoed into report headers
 
     def header_items(self) -> list[tuple[str, str]]:
         out = []

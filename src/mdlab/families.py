@@ -52,13 +52,11 @@ __all__ = [
     "fejer_multiplier",
     "fejer_poisson_density",
     "fejer_bracket",
+    "DUST",
     "quadrature_average",
     "averaged_bound",
     "TreeFamily",
     "TreeFamilyPoint",
-    "tree_family_point",
-    "empirical_bound",
-    "holomorphy_check",
     "averaged_family_bound",
     "fejer_bracket_tree",
     "family_report",
@@ -190,7 +188,7 @@ def fejer_poisson_density(N: int, r: float) -> Callable:
 
 def fejer_bracket(group: ZnGroup, N: int, r: float, d: int, ball: Ball, *,
                   quad_factor: int = 4, sdp_tol: float = 1e-8,
-                  sdp_max_iter: int = 100, window_cap: int = 66):
+                  sdp_max_iter: int = 100):
     """Multiplier plus norm bracket on Z, upper bound from the circle density.
 
     The density is nonnegative, so its balanced quadrature split certifies
@@ -203,8 +201,7 @@ def fejer_bracket(group: ZnGroup, N: int, r: float, d: int, ball: Ball, *,
     Q = max(quad_factor * (N + 1), 16)
     cert = density_quadrature_certificate(group, fejer_poisson_density(N, r), Q=Q)
     bracket = compute_bracket(group, phi, d, ball, certificate=cert,
-                              sdp_tol=sdp_tol, sdp_max_iter=sdp_max_iter,
-                              window_cap=window_cap)
+                              sdp_tol=sdp_tol, sdp_max_iter=sdp_max_iter)
     return phi, bracket
 
 
@@ -212,13 +209,17 @@ def fejer_bracket(group: ZnGroup, N: int, r: float, d: int, ball: Ball, *,
 # quadrature averaging
 # ---------------------------------------------------------------------------
 
+# averaged values with modulus below this are floating-point dust
+DUST = 1e-14
+
+
 def quadrature_average(samples: Sequence[Multiplier], weights,
-                       cutoff: float = 1e-14, name: str | None = None):
+                       name: str | None = None):
     """Pointwise weighted average of a grid of multipliers.
 
     All samples must share a kind (finite or radial).  Averaged values with
-    modulus below cutoff are dropped as floating-point dust; the dropped
-    mass is returned alongside the result as (multiplier, dropped_mass).
+    modulus below DUST are dropped; the dropped mass is returned alongside
+    the result as (multiplier, dropped_mass).
     """
     samples = list(samples)
     w = np.asarray(weights, dtype=float)
@@ -234,7 +235,7 @@ def quadrature_average(samples: Sequence[Multiplier], weights,
         for wq, s in zip(w, samples):
             c = np.asarray(s.coeffs, dtype=complex)
             acc[:c.shape[0]] += wq * c
-        small = np.abs(acc) < cutoff
+        small = np.abs(acc) < DUST
         dropped = float(np.abs(acc[small]).sum())
         acc[small] = 0.0
         nz = np.nonzero(acc)[0]
@@ -247,8 +248,8 @@ def quadrature_average(samples: Sequence[Multiplier], weights,
         for wq, s in zip(w, samples):
             for t, v in s.support_items():
                 acc_map[t] = acc_map.get(t, 0j) + wq * v
-        dropped = sum(abs(v) for v in acc_map.values() if abs(v) < cutoff)
-        support = {t: v for t, v in acc_map.items() if abs(v) >= cutoff}
+        dropped = sum(abs(v) for v in acc_map.values() if abs(v) < DUST)
+        support = {t: v for t, v in acc_map.items() if abs(v) >= DUST}
         avg = Multiplier.finite(samples[0].group, support,
                                 name=name or f"avg-{samples[0].name}")
         return avg, float(dropped)
@@ -285,22 +286,13 @@ class TreeFamily:
     the difference-quotient checks need, then cost one sparse refill each.
     """
 
-    def __init__(self, rank: int = 2, radius: int = 6, *,
-                 ball: Ball | None = None, cap: int = 500_000):
+    def __init__(self, rank: int = 2, radius: int = 6, *, cap: int = 500_000):
         if radius < 3:
             raise FamilyError(f"ball radius must be >= 3 for the interior checks, got {radius}")
-        if ball is not None:
-            if not isinstance(ball.group, FreeGroup):
-                raise FamilyError("tree families need a free-group ball")
-            if ball.radius != radius:
-                raise FamilyError(f"ball radius {ball.radius} does not match {radius}")
-            self.group = ball.group
-            self.ball = ball
-        else:
-            if not 1 <= rank <= 26:
-                raise FamilyError(f"free rank must be in 1..26, got {rank}")
-            self.group = FreeGroup(rank)
-            self.ball = build_ball(self.group, radius, cap=cap)
+        if not 1 <= rank <= 26:
+            raise FamilyError(f"free rank must be in 1..26, got {rank}")
+        self.group = FreeGroup(rank)
+        self.ball = build_ball(self.group, radius, cap=cap)
         self.radius = radius
         n = len(self.ball)
         index = self.ball.index
@@ -576,9 +568,6 @@ class TreeFamilyPoint:
     def cr_residual(self, t, h: float = 1e-3) -> float:
         return self.family.holomorphy_residual(t, self.z, h)
 
-    def cr_ratio(self, t, h: float = 1e-3) -> float:
-        return self.family.cr_ratio(t, self.z, h)
-
     # -- contract bundle -------------------------------------------------------
 
     def contract_checks(self, h: float | None = None) -> dict:
@@ -640,29 +629,6 @@ def _sigma_max_lower(M: sp.spmatrix, iters: int = 60, rtol: float = 1e-13) -> fl
     return math.sqrt(lam)
 
 
-def tree_family_point(z: complex, R: int, k: int, *, check: bool = True,
-                      tol: float = 1e-8, family: TreeFamily | None = None) -> TreeFamilyPoint:
-    """One checked family point on the rank-k tree, ball radius R.
-
-    Builds a fresh skeleton unless one is supplied; grids of parameters
-    should construct a TreeFamily once and call .point on it.
-    """
-    fam = family if family is not None else TreeFamily(k, R)
-    if family is not None and (family.radius != R or family.group.rank != k):
-        raise FamilyError("supplied family does not match R and k")
-    return fam.point(z, check=check, tol=tol)
-
-
-def empirical_bound(point: TreeFamilyPoint) -> float:
-    """Operator-norm sample of a family point; empirical, never certified."""
-    return point.empirical_bound()
-
-
-def holomorphy_check(family: TreeFamily, t, z0: complex, h: float) -> float:
-    """Cauchy-Riemann residual of the coefficient map at z0 with step h."""
-    return family.holomorphy_residual(t, z0, h)
-
-
 def family_report(point: TreeFamilyPoint, h: float = 1e-3) -> dict:
     """Flat JSON-ready summary of one family point's residuals and bound."""
     ball = point.family.ball
@@ -712,8 +678,7 @@ def averaged_family_bound(family: TreeFamily, N: int, r: float, d: int, *,
 
 def fejer_bracket_tree(family: TreeFamily, N: int, r: float, d: int, *,
                        quad_factor: int = 4, sdp_ball: Ball | None = None,
-                       sdp_tol: float = 1e-8, sdp_max_iter: int = 100,
-                       window_cap: int = 66):
+                       sdp_tol: float = 1e-8, sdp_max_iter: int = 100):
     """Multiplier plus bracket on the free group; empirical upper route.
 
     Lower bounds come from the certified window machinery; the upper bound
@@ -724,8 +689,7 @@ def fejer_bracket_tree(family: TreeFamily, N: int, r: float, d: int, *,
     ball = sdp_ball if sdp_ball is not None else build_ball(family.group,
                                                             min(2, family.radius))
     base = compute_bracket(family.group, phi, d, ball, certificate=None,
-                           sdp_tol=sdp_tol, sdp_max_iter=sdp_max_iter,
-                           window_cap=window_cap)
+                           sdp_tol=sdp_tol, sdp_max_iter=sdp_max_iter)
     upper, uflags = averaged_family_bound(family, N, r, d, quad_factor=quad_factor)
     if base.upper <= upper:
         return phi, base

@@ -394,6 +394,9 @@ class FiniteGroup(GroupRealization):
             gens = [x for x in range(n) if x != ident]
         else:
             gens = [int(x) for x in generators]
+        bad = next((x for x in gens if not 0 <= x < n), None)
+        if bad is not None:
+            raise GroupError(f"generator {bad} out of range 0..{n-1}")
         gen_set = set(gens)
         if ident in gen_set:
             raise GroupError("generating set must not contain the identity")
@@ -419,6 +422,13 @@ class FiniteGroup(GroupRealization):
     def inverse(self, a):
         self.validate(a)
         return self._inv.item(a)
+
+    def diameter(self) -> int:
+        """Largest word length that occurs: BFS runs until it reaches every
+        element or a sphere comes up empty (the generators may span less)."""
+        while self._layers[-1] and len(self._lengths) < self.order:
+            self._grow_one_sphere()
+        return max(r for r, layer in enumerate(self._layers) if layer)
 
     def pair_values(self, elements: list, f: Callable, dtype) -> np.ndarray:
         """Matrix f(s_i^-1 s_j) with f evaluated once per distinct product.
@@ -640,9 +650,7 @@ class Ball:
     """Ball of radius R, enumerated sphere by sphere in canonical order.
 
     elements[0] is the identity; index maps element -> position; lengths[i]
-    is the word length of elements[i]; adjacency[i][j] is the index of
-    elements[i] * s_j for the j-th generator, or -1 when the product lies
-    outside the ball.
+    is the word length of elements[i].
     """
 
     group: GroupRealization
@@ -651,7 +659,6 @@ class Ball:
     index: dict
     lengths: list[int]
     sphere_sizes: list[int]
-    adjacency: list[list[int]]
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -687,16 +694,8 @@ def build_ball(group: GroupRealization, radius: int, cap: int = 500_000) -> Ball
             raise BallCapError(f"{group.kind}: ball of radius {radius} exceeds cap {cap}")
     index = {x: i for i, x in enumerate(elements)}
     lengths = [group._lengths[x] for x in elements]
-    gens = group.generators()
-    adjacency = []
-    for x in elements:
-        row = []
-        for s in gens:
-            y = group.multiply(x, s)
-            row.append(index.get(y, -1))
-        adjacency.append(row)
     return Ball(group=group, radius=radius, elements=elements, index=index,
-                lengths=lengths, sphere_sizes=sphere_sizes, adjacency=adjacency)
+                lengths=lengths, sphere_sizes=sphere_sizes)
 
 
 def gram_matrix(group: GroupRealization, phi: Callable, elements: list) -> np.ndarray:

@@ -36,11 +36,13 @@ from typing import Callable
 import numpy as np
 
 from mdlab.config import FLOAT_FMT
-from mdlab.groups import GroupError, GroupRealization, QuotientStructure, ZnGroup, gram_matrix
+from mdlab.groups import (
+    FiniteGroup, GroupError, GroupRealization, QuotientStructure, ZnGroup, gram_matrix,
+)
 from mdlab.schur import schur_norm
 
 __all__ = [
-    "MultiplierError", "CertificateError",
+    "WINDOW_CAP", "MultiplierError", "CertificateError",
     "Multiplier",
     "MatrixRepCertificate", "LatticeShiftCertificate", "CertificateReport",
     "certificate_from_unitary_rep", "certificate_from_bounded_rep",
@@ -55,6 +57,13 @@ __all__ = [
     "extension_multiplier", "extension_limit",
     "NormBracket", "compute_bracket", "write_brackets_csv", "read_brackets_csv",
 ]
+
+
+# Largest dense window solve in compute_bracket, counted in window elements
+# and doubled when the Gram data is genuinely complex (the solver then works
+# on the realified matrix of twice the size).  It keeps the worst window
+# under roughly half a minute.
+WINDOW_CAP = 66
 
 
 class MultiplierError(ValueError):
@@ -141,9 +150,11 @@ class Multiplier:
         if self.kind == "finite":
             return max((abs(v) for v in self._support.values()), default=0.0)
         if self.kind == "radial":
-            # every listed length occurs on the groups in use; 0 past the end
-            vals = [abs(c) for c in self._coeffs]
-            return max(vals, default=0.0)
+            # 0 past the end; on a finite group no length past the diameter occurs
+            coeffs = self._coeffs
+            if isinstance(self.group, FiniteGroup):
+                coeffs = coeffs[:self.group.diameter() + 1]
+            return max((abs(c) for c in coeffs), default=0.0)
         raise MultiplierError("sup_abs of a callable needs a window; "
                               "use sup_abs_window")
 
@@ -302,6 +313,39 @@ def _sample_elements(group, elements, rng, count):
     return [elements[i] for i in idx]
 
 
+def _checked_rep(group, pi, elements, rep_tol, *, isometries: bool):
+    """pi as a full-matrix map, after checking it on a seeded sample.
+
+    Checks pi(e) = I, then (with isometries) pi(t)* pi(t) = I on up to 40
+    sampled elements, then pi(s)pi(t) = pi(st) on the first 12 x 12 pairs
+    of the sample, each to rep_tol in the operator norm; CertificateError
+    names the first failure.
+    """
+    sample = _sample_elements(group, elements, np.random.default_rng(0), 40)
+
+    def as_matrix(t):
+        M = np.asarray(pi(t), dtype=complex)
+        return np.diag(M) if M.ndim == 1 else M
+
+    ident = as_matrix(group.identity)
+    eye = np.eye(ident.shape[0])
+    if np.linalg.norm(ident - eye, 2) > rep_tol:
+        raise CertificateError("pi(identity) is not the identity matrix")
+    if isometries:
+        for t in sample:
+            M = as_matrix(t)
+            if np.linalg.norm(M.conj().T @ M - eye, 2) > rep_tol:
+                raise CertificateError(f"pi is not unitary at {t!r}")
+    for s in sample[:12]:
+        for t in sample[:12]:
+            err = np.linalg.norm(as_matrix(group.multiply(s, t))
+                                 - as_matrix(s) @ as_matrix(t), 2)
+            if err > rep_tol:
+                raise CertificateError(
+                    f"pi is not multiplicative at ({s!r}, {t!r}): {err:g}")
+    return as_matrix
+
+
 def certificate_from_unitary_rep(group, pi, xi, eta, elements, rep_tol=1e-12,
                                  window_member=None) -> MatrixRepCertificate:
     """Wrap a representation after checking it actually is one.
@@ -313,29 +357,7 @@ def certificate_from_unitary_rep(group, pi, xi, eta, elements, rep_tol=1e-12,
     """
     xi = np.asarray(xi, dtype=complex).ravel()
     eta = np.asarray(eta, dtype=complex).ravel()
-    elements = list(elements)
-    rng = np.random.default_rng(0)
-    sample = _sample_elements(group, elements, rng, 40)
-
-    def as_matrix(t):
-        M = np.asarray(pi(t), dtype=complex)
-        return np.diag(M) if M.ndim == 1 else M
-
-    ident = as_matrix(group.identity)
-    dim = ident.shape[0]
-    if np.linalg.norm(ident - np.eye(dim), 2) > rep_tol:
-        raise CertificateError("pi(identity) is not the identity matrix")
-    for t in sample:
-        M = as_matrix(t)
-        if np.linalg.norm(M.conj().T @ M - np.eye(dim), 2) > rep_tol:
-            raise CertificateError(f"pi is not unitary at {t!r}")
-    for s in sample[:12]:
-        for t in sample[:12]:
-            err = np.linalg.norm(as_matrix(group.multiply(s, t))
-                                 - as_matrix(s) @ as_matrix(t), 2)
-            if err > rep_tol:
-                raise CertificateError(
-                    f"pi is not multiplicative at ({s!r}, {t!r}): {err:g}")
+    _checked_rep(group, pi, list(elements), rep_tol, isometries=True)
     return MatrixRepCertificate(group=group, pi=pi, xi=xi, eta=eta,
                                 pi_norm=1.0, pi_provenance="unitary",
                                 window_member=window_member)
@@ -352,24 +374,7 @@ def certificate_from_bounded_rep(group, pi, xi, eta, elements, rep_tol=1e-12,
     xi = np.asarray(xi, dtype=complex).ravel()
     eta = np.asarray(eta, dtype=complex).ravel()
     elements = list(elements)
-    rng = np.random.default_rng(0)
-    sample = _sample_elements(group, elements, rng, 40)
-
-    def as_matrix(t):
-        M = np.asarray(pi(t), dtype=complex)
-        return np.diag(M) if M.ndim == 1 else M
-
-    ident = as_matrix(group.identity)
-    dim = ident.shape[0]
-    if np.linalg.norm(ident - np.eye(dim), 2) > rep_tol:
-        raise CertificateError("pi(identity) is not the identity matrix")
-    for s in sample[:12]:
-        for t in sample[:12]:
-            err = np.linalg.norm(as_matrix(group.multiply(s, t))
-                                 - as_matrix(s) @ as_matrix(t), 2)
-            if err > rep_tol:
-                raise CertificateError(
-                    f"pi is not multiplicative at ({s!r}, {t!r}): {err:g}")
+    as_matrix = _checked_rep(group, pi, elements, rep_tol, isometries=False)
     pi_norm = max(float(np.linalg.norm(as_matrix(t), 2)) for t in elements)
     pi_norm = max(pi_norm, 1.0)  # pi(e) = I already forces sup >= 1
     return MatrixRepCertificate(group=group, pi=pi, xi=xi, eta=eta,
@@ -384,6 +389,19 @@ def constant_certificate(group, value) -> MatrixRepCertificate:
         group=group, pi=lambda t: np.ones(1), xi=np.ones(1),
         eta=np.array([value]), pi_norm=1.0, pi_provenance="unitary",
         window_member=None, kind="const")
+
+
+def _circle_grid(n: int, Q: int):
+    """Uniform Q^n grid of angle rows (Q^n, n), its weight, and the characters
+    pi(m) = exp(-i m.theta) on it as a diagonal."""
+    axes = [2.0 * math.pi * np.arange(Q) / Q for _ in range(n)]
+    grids = np.meshgrid(*axes, indexing="ij")
+    thetas = np.stack([g.ravel() for g in grids], axis=1)
+
+    def pi(m):
+        return np.exp(-1j * (thetas @ np.asarray(m, dtype=float)))
+
+    return thetas, 1.0 / (Q ** n), pi
 
 
 def circle_quadrature_certificate(group: ZnGroup, phi: Multiplier,
@@ -414,21 +432,15 @@ def circle_quadrature_certificate(group: ZnGroup, phi: Multiplier,
         raise CertificateError(f"Q={Q} too small for support degree {max(degs)}")
     window = Q - max(degs) - 1
 
-    axes = [2.0 * math.pi * np.arange(Q) / Q for _ in range(n)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    thetas = np.stack([g.ravel() for g in grids], axis=1)  # (Q^n, n)
+    thetas, w, pi = _circle_grid(n, Q)
     g_vals = np.zeros(thetas.shape[0], dtype=complex)
     for t, v in items:
         g_vals += v * np.exp(1j * (thetas @ np.asarray(t, dtype=float)))
-    w = 1.0 / (Q ** n)
     absg = np.abs(g_vals)
     root = np.sqrt(w * absg)
     phase = np.where(absg > 0, g_vals / np.where(absg > 0, absg, 1.0), 0.0)
     eta = root.astype(complex)
     xi = np.conj(phase) * root
-
-    def pi(m):
-        return np.exp(-1j * (thetas @ np.asarray(m, dtype=float)))
 
     def in_window(m):
         return max(abs(c) for c in m) <= window
@@ -453,21 +465,13 @@ def density_quadrature_certificate(group: ZnGroup, density: Callable,
     """
     if not isinstance(group, ZnGroup):
         raise CertificateError("quadrature certificates need a Z^n group")
-    n = group.n
-    axes = [2.0 * math.pi * np.arange(Q) / Q for _ in range(n)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    thetas = np.stack([g.ravel() for g in grids], axis=1)
+    thetas, w, pi = _circle_grid(group.n, Q)
     h = np.asarray(density(thetas), dtype=float)
     if h.shape != (thetas.shape[0],):
         raise CertificateError(f"density returned shape {h.shape}")
     if h.min() < -1e-12:
         raise CertificateError(f"density takes value {h.min()}; must be >= 0")
-    w = 1.0 / (Q ** n)
     root = np.sqrt(w * np.clip(h, 0.0, None)).astype(complex)
-
-    def pi(m):
-        return np.exp(-1j * (thetas @ np.asarray(m, dtype=float)))
-
     return MatrixRepCertificate(group=group, pi=pi, xi=root.copy(), eta=root,
                                 pi_norm=1.0, pi_provenance="unitary",
                                 window_member=None, kind="density")
@@ -632,12 +636,7 @@ def cstar_norm_finite(group, g: Callable) -> float:
     the largest singular value of the convolution matrix [g(x y^-1)]."""
     if not hasattr(group, "order"):
         raise MultiplierError("cstar_norm_finite needs a finite group")
-    n = group.order
-    M = np.empty((n, n), dtype=complex)
-    for x in range(n):
-        for y in range(n):
-            M[x, y] = complex(g(group.multiply(x, group.inverse(y))))
-    return float(np.linalg.norm(M, 2))
+    return regular_compression_norm(group, g, range(group.order))
 
 
 def regular_compression_norm(group, g: Callable, elements) -> float:
@@ -749,20 +748,14 @@ class NormBracket:
 
 def compute_bracket(group, phi, d: int, ball, certificate=None,
                     phi_id: str | None = None, sdp_tol: float = 1e-8,
-                    sdp_max_iter: int = 100,
-                    window_cap: int = 66) -> NormBracket:
+                    sdp_max_iter: int = 100) -> NormBracket:
     """Assemble the best available bracket for one multiplier and order.
 
     Lower route: sup |phi| (exact for finite/radial data, window sup
     otherwise), strengthened for d >= 2 by the window SDP when the window
     is small enough to solve.  Upper route: the supplied certificate priced
     at order d, the exact sup for order 1, or +inf with provenance "none".
-
-    window_cap caps the dense solve: it counts window elements, doubled
-    when the Gram data is genuinely complex (the solver then works on the
-    realified matrix of twice the size).  A window over the cap before
-    doubling gets no Gram at all.  The default keeps the worst window under
-    roughly half a minute.
+    A window over WINDOW_CAP elements gets no Gram at all.
     """
     if d < 1:
         raise ValueError("order d must be >= 1")
@@ -777,11 +770,11 @@ def compute_bracket(group, phi, d: int, ball, certificate=None,
         lower, lower_prov = sup_abs_window(phi, elements), "sup-window"
     if d >= 2:
         size = len(elements)
-        if size <= window_cap:
+        if size <= WINDOW_CAP:
             gram = gram_matrix(group, phi, elements)
             if np.any(gram.imag):
                 size *= 2
-        if size <= window_cap:
+        if size <= WINDOW_CAP:
             sdp_lower, info = m2_lower_bound(group, phi, elements,
                                              tol=sdp_tol, max_iter=sdp_max_iter,
                                              gram=gram)

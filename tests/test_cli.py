@@ -59,6 +59,14 @@ class TestBall:
         assert main(["ball", "--group", groups["f2"], "-R", "3",
                      "--out", str(tmp_path)]) == 3
 
+    @pytest.mark.parametrize("generator", [5, -1])
+    def test_finite_generator_out_of_range(self, tmp_path, generator):
+        g = tmp_path / "bad.json"
+        g.write_text(json.dumps({"kind": "finite", "table": [[0, 1], [1, 0]],
+                                 "generators": [generator]}))
+        assert main(["ball", "--group", str(g), "-R", "1",
+                     "--out", str(tmp_path)]) == 2
+
     def test_missing_group_file(self, tmp_path):
         assert main(["ball", "--group", str(tmp_path / "nope.json"),
                      "-R", "1", "--out", str(tmp_path)]) == 2
@@ -186,6 +194,14 @@ class TestFejer:
         rows = data_lines(out / "fejer_convergence.csv")
         assert "upper-empirical" in rows[1]
 
+    def test_free_group_route_respects_the_ball_cap(self, tmp_path, groups,
+                                                    monkeypatch):
+        # the radius-5 tree ball has 485 elements
+        monkeypatch.setenv("MDLAB_BALL_CAP", "100")
+        assert main(["fejer", "--group", groups["f2"], "--N-list", "2",
+                     "--r-list", "0.5", "--family-radius", "5",
+                     "--out", str(tmp_path)]) == 3
+
     def test_mismatched_grid(self, tmp_path, groups):
         assert main(["fejer", "--group", groups["z"], "--N-list", "4,8",
                      "--r-list", "0.5,0.7,0.9", "--out", str(tmp_path)]) == 2
@@ -251,6 +267,20 @@ class TestHarness:
         monkeypatch.setenv("MDLAB_TYPO", "1")
         assert main(["ball", "--group", groups["z"], "-R", "1",
                      "--out", str(tmp_path)]) == 2
+
+    def test_header_lists_the_seven_config_fields(self, tmp_path, groups):
+        out = tmp_path / "o"
+        assert main(["ball", "--group", groups["z"], "-R", "1",
+                     "--out", str(out)]) == 0
+        header = (out / "ball.csv").read_text().splitlines()[0]
+        assert header == ("# config tol=1e-06 max_iter=500 ball_cap=500000 "
+                          "quad_factor=4 window_radius=1 success_residual=0.01 seed=0")
+
+    def test_deleted_config_name_is_rejected(self, tmp_path, groups, monkeypatch):
+        monkeypatch.setenv("MDLAB_CERT_TOL", "1e-9")
+        assert main(["ball", "--group", groups["z"], "-R", "1",
+                     "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "ball.csv").exists()
 
     def test_tol_flag_overrides_env(self, tmp_path, groups, monkeypatch):
         monkeypatch.setenv("MDLAB_TOL", "0.1")

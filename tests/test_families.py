@@ -29,7 +29,6 @@ from mdlab.families import (
     averaged_bound,
     averaged_family_bound,
     convergence_report,
-    empirical_bound,
     family_report,
     fejer_bracket,
     fejer_bracket_tree,
@@ -38,11 +37,9 @@ from mdlab.families import (
     fejer_multiplier,
     fejer_nodes,
     fejer_poisson_density,
-    holomorphy_check,
     power_coefficient,
     quadrature_average,
     radial_power,
-    tree_family_point,
     write_convergence_csv,
     write_family_report,
 )
@@ -308,17 +305,9 @@ class TestTreeSkeleton:
         with pytest.raises(FamilyError):
             TreeFamily(27, 4)
         with pytest.raises(FamilyError):
-            TreeFamily(2, 3, ball=build_ball(Z2, 3))
-        with pytest.raises(FamilyError):
-            TreeFamily(2, 5, ball=FAM4.ball)
-        with pytest.raises(FamilyError):
             FAM4.point(1.0, check=False)
         with pytest.raises(FamilyError):
             FAM4.point(0.8 + 0.7j, check=False)
-
-    def test_reuses_supplied_ball(self):
-        fam = TreeFamily(2, 4, ball=FAM4.ball)
-        assert fam.ball is FAM4.ball
 
 
 class TestTreePoint:
@@ -373,12 +362,6 @@ class TestTreePoint:
         assert b1 == b2
         assert b1 >= 1.0
 
-    def test_wrapper_helpers(self):
-        pt = tree_family_point(0.5, 4, 2, check=True)
-        assert empirical_bound(pt) == pt.empirical_bound()
-        with pytest.raises(FamilyError):
-            tree_family_point(0.5, 4, 2, family=FAM5)
-
 
 class TestHolomorphy:
     def test_residual_scales_as_h_squared(self):
@@ -397,11 +380,6 @@ class TestHolomorphy:
             FAM5.holomorphy_residual(t, 0.95, 0.1)
         with pytest.raises(FamilyError):
             FAM5.holomorphy_residual(t, 0.4, 0.0)
-
-    def test_module_level_wrapper(self):
-        t = FAM4.ball.sphere(3)[0]
-        assert holomorphy_check(FAM4, t, 0.3 + 0.1j, 1e-3) == \
-            FAM4.holomorphy_residual(t, 0.3 + 0.1j, 1e-3)
 
 
 class TestFamilyReport:

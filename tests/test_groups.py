@@ -195,6 +195,21 @@ class TestFiniteGroup:
         assert type(g.multiply(1, 1)) is int and type(g.inverse(1)) is int
         assert type(g.identity) is int
 
+    def test_generators_out_of_range(self):
+        for gens, bad in (([5], 5), ([1, -1], -1)):
+            with pytest.raises(GroupError) as info:
+                FiniteGroup([[0, 1], [1, 0]], generators=gens)
+            assert str(info.value) == f"generator {bad} out of range 0..1"
+
+    def test_diameter(self):
+        table = [[(i + j) % 6 for j in range(6)] for i in range(6)]
+        assert FiniteGroup(table, generators=[1, 5]).diameter() == 3
+        assert FiniteGroup(table).diameter() == 1
+        assert FiniteGroup(table, generators=[2, 4]).diameter() == 1  # spans Z/3 only
+        g = FiniteGroup(table, generators=[3])
+        build_ball(g, 4)  # explored past the end: trailing spheres are empty
+        assert g.diameter() == 1
+
     def test_saturated_ball_has_empty_outer_spheres(self):
         table = [[(i + j) % 3 for j in range(3)] for i in range(3)]
         g = FiniteGroup(table, generators=[1, 2])
@@ -311,19 +326,6 @@ class TestBall:
             ball = build_ball(grp, 3)
             for x in ball.elements:
                 assert grp.inverse(x) in ball.index
-
-    def test_adjacency(self):
-        g = ZnGroup(2)
-        ball = build_ball(g, 2)
-        gens = g.generators()
-        for i, x in enumerate(ball.elements):
-            for j, s in enumerate(gens):
-                y = g.multiply(x, s)
-                k = ball.adjacency[i][j]
-                if y in ball.index:
-                    assert k == ball.index[y]
-                else:
-                    assert k == -1
 
     def test_deterministic_order(self):
         b1 = build_ball(FreeGroup(2), 3)

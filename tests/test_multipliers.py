@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import itertools
 import math
 import random
 
@@ -341,6 +342,15 @@ class TestPairingAndCstar:
         val = cstar_norm_finite(g, lambda t: 1.0 if t in (0, 1) else 0.0)
         assert val == pytest.approx(2.0)
 
+    def test_cstar_norm_is_the_full_convolution_matrix(self):
+        perms = sorted(itertools.permutations(range(3)))
+        g = FiniteGroup([[perms.index(tuple(p[q[i]] for i in range(3))) for q in perms]
+                         for p in perms])
+        f = lambda t: complex(t + 1, (-1) ** t * 0.5 * t)
+        M = np.array([[f(g.multiply(x, g.inverse(y))) for y in range(6)]
+                      for x in range(6)])
+        assert cstar_norm_finite(g, f) == float(np.linalg.norm(M, 2))
+
     def test_compression_increases_to_symbol_sup(self):
         g = lambda m: 1.0 if m in [(0,), (1,)] else 0.0
         vals = []
@@ -483,6 +493,29 @@ class TestBrackets:
         br = compute_bracket(Z, phi, 2, build_ball(Z, 20))
         assert br == NormBracket("cplx", 2, 20, 1.0, math.inf, "sup-exact", "none",
                                  ("window-too-large-for-sdp",))
+
+    def test_radial_sup_on_a_finite_group_stops_at_the_diameter(self):
+        # Z/3 over {1, 2} has diameter 1: the coefficient 9 at length 2 is
+        # never taken, so neither end of the bracket may see it
+        g = FiniteGroup([[(i + j) % 3 for j in range(3)] for i in range(3)],
+                        generators=[1, 2])
+        phi = Multiplier.radial(g, [1.0, 0.5, 9.0], name="rad")
+        assert phi.sup_abs() == 1.0
+        ball = build_ball(g, 1)
+        assert compute_bracket(g, phi, 1, ball) == NormBracket(
+            "rad", 1, 1, 1.0, 1.0, "sup-exact", "sup-exact")
+        assert compute_bracket(g, phi, 2, ball) == NormBracket(
+            "rad", 2, 1, 1.0, math.inf, "sup-exact", "none")
+
+    def test_radial_sup_on_a_finite_group_spanned_in_part(self):
+        # {2} spans only {0, 2} in Z/4: lengths 0 and 1 occur, nothing else
+        g = FiniteGroup([[(i + j) % 4 for j in range(4)] for i in range(4)],
+                        generators=[2])
+        assert Multiplier.radial(g, [1.0, -0.5, 7.0]).sup_abs() == 1.0
+        assert Multiplier.radial(g, [0.5, -3.0, 7.0]).sup_abs() == 3.0
+
+    def test_radial_sup_on_infinite_groups_reads_every_coefficient(self):
+        assert Multiplier.radial(Z, [1.0, 0.5, 9.0]).sup_abs() == 9.0
 
     def test_order_one_finite_is_exact(self):
         phi = indicator01()
