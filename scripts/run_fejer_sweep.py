@@ -3,9 +3,14 @@
 diagonal (r_j, N_j) = (1 - 2^-j, 4^j) run that actually converges."""
 
 import argparse
+import os
 import sys
 
-from mdlab.cli import main
+# run from a checkout: this repository's src/ comes before any installed mdlab
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "src"))
+
+from mdlab.cli import main  # noqa: E402
 
 
 def run(out: str) -> int:

@@ -4,9 +4,14 @@ parameter grid (moduli 0.3/0.6/0.9 at phases 0, pi/4, pi/2), radius 5."""
 
 import argparse
 import json
+import os
 import sys
 
-from mdlab.cli import main
+# run from a checkout: this repository's src/ comes before any installed mdlab
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "src"))
+
+from mdlab.cli import main  # noqa: E402
 
 
 def run(out: str) -> int:

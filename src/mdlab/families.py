@@ -17,7 +17,10 @@ outer-sphere rows, every check restricts itself to an interior margin, and
 the construction ships with its own contract checks (coefficient
 reproduction, orthogonality at real parameters, a Cauchy-Riemann
 difference-quotient test) plus an empirical operator-norm sweep that is
-reported as a sample, never as a certified norm.
+reported as a sample, never as a certified norm.  The sweep takes the ball
+words one length class at a time: their interior-restricted operators are
+the blocks of one block-diagonal sparse matrix, assembled in chunks of at
+most CHUNK_NNZ entries, and power iteration runs on all blocks in lockstep.
 """
 
 from __future__ import annotations
@@ -275,15 +278,24 @@ def averaged_bound(weights, bounds) -> float:
 # tree operator family
 # ---------------------------------------------------------------------------
 
+# power iteration in the empirical sweep: step cap and relative stopping rule
+POWER_ITERS = 60
+POWER_RTOL = 1e-13
+# largest number of (unsummed) entries one block-diagonal sweep operator holds
+CHUNK_NNZ = 1 << 17
+
 class TreeFamily:
     """Shared combinatorics for one free group and one ball radius.
 
     Everything independent of the parameter z is tabulated once: prefix
     chains of every ball element (the sparsity pattern of the feature
-    matrix V), the parent links its inverse needs, and for each generator
-    the index map of left multiplication with the outer-sphere rerouting
-    already matched up.  Points of the family, and the shifted evaluations
-    the difference-quotient checks need, then cost one sparse refill each.
+    matrix V, stored column by column), the parent links its inverse needs,
+    for each generator the index map of left multiplication with the
+    outer-sphere rerouting already matched up, and for every ball word t
+    the index map x -> index[t.x] over its interior columns together with
+    the chunks the empirical sweep splits each length class into.  Points
+    of the family, and the shifted evaluations the difference-quotient
+    checks need, then cost one sparse refill each.
     """
 
     def __init__(self, rank: int = 2, radius: int = 6, *, cap: int = 500_000):
@@ -343,22 +355,61 @@ class TreeFamily:
             img[out_cols] = unhit
             self._perm[s] = img
 
+        # _shift[l][k, j] = index[t.x_j] for the k-th word t of length l and
+        # x_j of depth <= radius - l.  t.x = s.(t'.x) for t = s t' never
+        # leaves the ball, so chaining the generator maps meets no rerouting.
+        self._sphere_start = np.cumsum([0] + list(self.ball.sphere_sizes))
+        self._shift = [np.arange(n, dtype=np.intp)[None, :]]
+        for ell in range(1, radius + 1):
+            words = self.ball.sphere(ell)
+            m = self._sphere_start[radius - ell + 1]
+            heads = np.fromiter((t[0] for t in words), dtype=np.intp, count=len(words))
+            tails = np.fromiter((index[t[1:]] for t in words), dtype=np.intp,
+                                count=len(words)) - self._sphere_start[ell - 1]
+            prev = self._shift[ell - 1][:, :m]
+            table = np.empty((len(words), m), dtype=np.intp)
+            for (s,), img in self._perm.items():
+                rows = np.nonzero(heads == s)[0]
+                table[rows] = img[prev[tails[rows]]]
+            self._shift.append(table)
+
+        # V's column pointers, and per length class the word ranges whose
+        # sweep operators hold at most CHUNK_NNZ entries before summation
+        col_len = np.asarray(self.ball.lengths, dtype=np.intp) + 1
+        self._v_ptr = np.concatenate([[0], np.cumsum(col_len)])
+        self._chunks = []
+        for P in self._shift:
+            per_word = np.cumsum(col_len[P].sum(axis=1)
+                                 + col_len[P[:, parent[1:P.shape[1]]]].sum(axis=1))
+            bounds = [0]
+            while bounds[-1] < P.shape[0]:
+                lo = bounds[-1]
+                base = per_word[lo - 1] if lo else 0
+                hi = int(np.searchsorted(per_word, base + CHUNK_NNZ, side="right"))
+                bounds.append(max(hi, lo + 1))
+            self._chunks.append(bounds)
+
     # -- per-parameter matrices ------------------------------------------------
 
-    def _pair(self, z: complex):
-        """Sparse (V, V^-1) at the parameter z; both are exact by pattern."""
+    def _values(self, z: complex):
+        """V's entries at z in pattern (column-major) order, and the inverse's
+        value table [1, 1/c, -z/c] with c = sqrt(1 - z^2)."""
         z = complex(z)
         if abs(z) >= 1.0:
             raise FamilyError(f"parameter must satisfy |z| < 1, got |z| = {abs(z)}")
-        n = len(self.ball)
         c = cmath.sqrt(1.0 - z * z)
         zpow = z ** np.arange(self.radius + 1, dtype=float)
         if z == 0:
             zpow = np.zeros(self.radius + 1, dtype=complex)
             zpow[0] = 1.0
         vals = np.where(self._v_base, zpow[self._v_exps], c * zpow[self._v_exps])
+        return vals, np.array([1.0, 1.0 / c, -z / c], dtype=complex)
+
+    def _pair(self, z: complex):
+        """Sparse (V, V^-1) at the parameter z; both are exact by pattern."""
+        vals, table = self._values(z)
+        n = len(self.ball)
         V = sp.csr_matrix((vals, (self._v_rows, self._v_cols)), shape=(n, n))
-        table = np.array([1.0, 1.0 / c, -z / c], dtype=complex)
         Vinv = sp.csc_matrix((table[self._iv_kind], (self._iv_rows, self._iv_cols)),
                              shape=(n, n))
         return V, Vinv
@@ -424,8 +475,8 @@ class TreeFamilyPoint:
     of left multiplication.  Claims are interior-restricted: test words and
     column ranges of length <= radius - margin never touch the rerouting,
     so coefficient and orthogonality residuals are float noise, not model
-    error.  The empirical bound is a certified sample from below of the
-    true operator-norm supremum, nothing more.
+    error.  The empirical bound is a sample from below of the true
+    operator-norm supremum, nothing more.
     """
 
     margin = 2
@@ -435,6 +486,7 @@ class TreeFamilyPoint:
         self.z = complex(z)
         self.radius = family.radius
         self.V, self.Vinv = family._pair(z)
+        self._vals, self._inv = family._values(z)
         self._pi_cache: dict = {}
         self._bound: float | None = None
         self._zpow = np.array([power_coefficient(self.z, k)
@@ -510,26 +562,47 @@ class TreeFamilyPoint:
             worst = max(worst, float(np.linalg.norm(G, "fro")))
         return worst
 
+    def _entries(self, ell: int, lo: int, hi: int):
+        """Unsummed COO entries (word, row, column, value) of pi_z(t) on the
+        interior columns, for the words lo..hi-1 of length ell.
+
+        Column j is (v_{t.x_j} - z v_{t.parent(x_j)}) / c and column 0 is
+        v_t: V times the shifted columns of V^-1, read straight from V's
+        columns.  Equal (row, column) pairs add up to the matrix entry.
+        """
+        fam = self.family
+        P = fam._shift[ell][lo:hi]
+        K, m = P.shape
+        # per word 2m - 1 columns of V: t.x_j for every j, then
+        # t.parent(x_j) for j >= 1, each with its entry of V^-1
+        src = np.concatenate([P, P[:, fam._parent[1:m]]], axis=1).ravel()
+        word = np.repeat(np.arange(K), 2 * m - 1)
+        col = np.tile(np.concatenate([np.arange(m), np.arange(1, m)]), K)
+        weight = np.tile(self._inv[np.repeat([0, 1, 2], [1, m - 1, m - 1])], K)
+        # V's column a holds the entries ptr[a] .. ptr[a+1]-1
+        start = fam._v_ptr[src]
+        size = fam._v_ptr[src + 1] - start
+        pos = np.repeat(start - (np.cumsum(size) - size), size) + np.arange(int(size.sum()))
+        return (np.repeat(word, size), fam._v_rows[pos], np.repeat(col, size),
+                self._vals[pos] * np.repeat(weight, size))
+
     def interior_map(self, t) -> sp.csr_matrix:
         """pi_z(t) restricted to columns of depth <= radius - len(t), built direct.
 
         The restriction keeps every needed image inside the ball, so the
         matrix equals the untruncated operator on those columns; no product
         of generator matrices (and none of their rerouting) is involved.
+        The index map x -> index[t.x] comes from the family's table.
         """
         self.family.group.validate(t)
         ell = len(t)
         if ell > self.radius:
             raise FamilyError(f"word of length {ell} does not fit in radius {self.radius}")
         ball = self.family.ball
-        n = len(ball)
+        k = ball.index[t] - self.family._sphere_start[ell]
+        _, rows, cols, vals = self._entries(ell, k, k + 1)
         m = self._interior_count(self.radius - ell)
-        mul = self.family.group.multiply
-        p = np.fromiter((ball.index[mul(t, x)] for x in ball.elements[:m]),
-                        dtype=np.intp, count=m)
-        A = self.Vinv[:, :m].tocoo()
-        shifted = sp.csr_matrix((A.data, (p[A.row], A.col)), shape=(n, m))
-        return (self.V @ shifted).tocsr()
+        return sp.csr_matrix((vals, (rows, cols)), shape=(len(ball), m))
 
     def product_defect(self, s, t) -> float:
         """||pi(s) pi(t) - pi(st)|| on columns deep enough for both routes.
@@ -549,21 +622,55 @@ class TreeFamilyPoint:
         return float(np.linalg.norm((prod - direct).toarray(), "fro"))
 
     def empirical_bound(self) -> float:
-        """max over ball words t of the interior-restricted norm of pi_z(t).
+        """max(1, max over ball words t of the interior-restricted norm of pi_z(t)).
 
         A lower sample of the operator-norm supremum (power iteration
         underestimates, restriction discards columns), reported as
         empirical evidence only.  Exactly 1 at real parameters, where the
-        restricted columns are orthonormal.
+        restricted columns are orthonormal.  The words of one length run
+        together through _lower_norms, chunk by chunk.
         """
         if self._bound is not None:
             return self._bound
         best = 1.0
-        for t in self.family.ball.elements[1:]:
-            M = self.interior_map(t)
-            best = max(best, _sigma_max_lower(M))
+        for ell in range(1, self.radius + 1):
+            bounds = self.family._chunks[ell]
+            for lo, hi in zip(bounds, bounds[1:]):
+                best = max(best, float(self._lower_norms(ell, lo, hi).max()))
         self._bound = best
         return best
+
+    def _lower_norms(self, ell: int, lo: int, hi: int) -> np.ndarray:
+        """Largest singular values from below, by power iteration on M*M, of
+        the interior maps of the words lo..hi-1 of length ell.
+
+        The maps are the diagonal blocks of one sparse operator whose rows
+        are compressed to those each word reaches.  Every block keeps its
+        own iteration: the fixed real start vector (deterministic, and
+        conjugate data gives bit-identical values), its own stopping rule
+        and the shared POWER_ITERS cap; a block that has stopped keeps its
+        value while the others go on.
+        """
+        word, rows, cols, vals = self._entries(ell, lo, hi)
+        K = hi - lo
+        m = self._interior_count(self.radius - ell)
+        reached, crow = np.unique(word * len(self.family.ball) + rows,
+                                  return_inverse=True)
+        M = sp.csr_matrix((vals, (crow, word * m + cols)), shape=(reached.size, K * m))
+        Mh = M.conj().T.tocsr()
+        x = np.full(K * m, 1.0 / math.sqrt(m))
+        lam = np.zeros(K)
+        live = np.ones(K, dtype=bool)
+        for _ in range(POWER_ITERS):
+            y = (Mh @ (M @ x)).reshape(K, m)
+            new = np.sqrt((y.real * y.real).sum(axis=1) + (y.imag * y.imag).sum(axis=1))
+            stop = (new == 0.0) | (np.abs(new - lam) <= POWER_RTOL * np.maximum(new, 1.0))
+            lam = np.where(live, new, lam)
+            live &= ~stop
+            if not live.any():
+                break
+            x = (y / np.where(new == 0.0, 1.0, new)[:, None]).ravel()
+        return np.sqrt(lam)
 
     def cr_residual(self, t, h: float = 1e-3) -> float:
         return self.family.holomorphy_residual(t, self.z, h)
@@ -601,32 +708,6 @@ class TreeFamilyPoint:
         if failures:
             raise FamilyError("construction contract violated: " + "; ".join(failures))
         return checks
-
-
-def _sigma_max_lower(M: sp.spmatrix, iters: int = 60, rtol: float = 1e-13) -> float:
-    """Largest singular value from below by power iteration on M*M.
-
-    Fixed real start vector keeps the estimate deterministic and makes it
-    conjugation-equivariant: conjugate input data gives the bit-identical
-    value.
-    """
-    m = M.shape[1]
-    if m == 0:
-        return 0.0
-    Mh = M.conj().T.tocsr()
-    x = np.full(m, 1.0 / math.sqrt(m))
-    lam = 0.0
-    for _ in range(iters):
-        y = Mh @ (M @ x)
-        new = float(np.linalg.norm(y))
-        if new == 0.0:
-            return 0.0
-        x = y / new
-        if abs(new - lam) <= rtol * max(new, 1.0):
-            lam = new
-            break
-        lam = new
-    return math.sqrt(lam)
 
 
 def family_report(point: TreeFamilyPoint, h: float = 1e-3) -> dict:

@@ -42,7 +42,7 @@ class BallTooSmallError(GroupError):
 
 
 class BallCapError(RuntimeError):
-    """Ball enumeration exceeded the configured element cap."""
+    """Ball enumeration or a quadrature grid exceeded its element cap."""
 
 
 # ---------------------------------------------------------------------------

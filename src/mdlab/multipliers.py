@@ -37,12 +37,13 @@ import numpy as np
 
 from mdlab.config import FLOAT_FMT
 from mdlab.groups import (
-    FiniteGroup, GroupError, GroupRealization, QuotientStructure, ZnGroup, gram_matrix,
+    BallCapError, FiniteGroup, GroupError, GroupRealization, QuotientStructure, ZnGroup,
+    gram_matrix,
 )
 from mdlab.schur import schur_norm
 
 __all__ = [
-    "WINDOW_CAP", "MultiplierError", "CertificateError",
+    "WINDOW_CAP", "GRID_NODE_CAP", "MultiplierError", "CertificateError",
     "Multiplier",
     "MatrixRepCertificate", "LatticeShiftCertificate", "CertificateReport",
     "certificate_from_unitary_rep", "certificate_from_bounded_rep",
@@ -64,6 +65,12 @@ __all__ = [
 # on the realified matrix of twice the size).  It keeps the worst window
 # under roughly half a minute.
 WINDOW_CAP = 66
+
+# Largest Q^n quadrature grid a certificate builds.  A node costs on the
+# order of 100 bytes (angles, symbol values, split vectors, temporaries), so
+# Z^2 at Q = 512 (262,144 nodes) fits and Z^3 at Q = 512 (134M nodes, over
+# 8 GB) is refused.
+GRID_NODE_CAP = 1 << 20
 
 
 class MultiplierError(ValueError):
@@ -393,7 +400,14 @@ def constant_certificate(group, value) -> MatrixRepCertificate:
 
 def _circle_grid(n: int, Q: int):
     """Uniform Q^n grid of angle rows (Q^n, n), its weight, and the characters
-    pi(m) = exp(-i m.theta) on it as a diagonal."""
+    pi(m) = exp(-i m.theta) on it as a diagonal.
+
+    A grid over GRID_NODE_CAP nodes raises BallCapError before any array
+    is built.
+    """
+    if Q ** n > GRID_NODE_CAP:
+        raise BallCapError(f"quadrature grid of {Q}^{n} = {Q ** n} nodes exceeds "
+                           f"the cap of {GRID_NODE_CAP}")
     axes = [2.0 * math.pi * np.arange(Q) / Q for _ in range(n)]
     grids = np.meshgrid(*axes, indexing="ij")
     thetas = np.stack([g.ravel() for g in grids], axis=1)

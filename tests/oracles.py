@@ -12,6 +12,7 @@ import itertools
 import math
 
 import numpy as np
+import scipy.sparse as sp
 
 
 def bfs_sphere_sizes(identity, generators, multiply, radius: int) -> list[int]:
@@ -121,3 +122,49 @@ def gram_matrix_reference(group, phi, elements) -> np.ndarray:
         for j in range(n):
             M[i, j] = phi(group.multiply(inv[i], elements[j]))
     return M
+
+
+def interior_map_reference(point, t):
+    """pi_z(t) on the columns of depth <= radius - len(t): one group product
+    per column for the index map, then V times the shifted columns of V^-1."""
+    ball = point.family.ball
+    n = len(ball)
+    m = sum(ball.sphere_sizes[:point.radius - len(t) + 1])
+    mul = point.family.group.multiply
+    p = np.fromiter((ball.index[mul(t, x)] for x in ball.elements[:m]),
+                    dtype=np.intp, count=m)
+    A = point.Vinv[:, :m].tocoo()
+    shifted = sp.csr_matrix((A.data, (p[A.row], A.col)), shape=(n, m))
+    return (point.V @ shifted).tocsr()
+
+
+def sigma_max_lower_reference(M, iters: int = 60, rtol: float = 1e-13) -> float:
+    """Largest singular value from below by power iteration on M*M, from a
+    fixed real start vector, one sparse matrix at a time."""
+    m = M.shape[1]
+    if m == 0:
+        return 0.0
+    Mh = M.conj().T.tocsr()
+    x = np.full(m, 1.0 / math.sqrt(m))
+    lam = 0.0
+    for _ in range(iters):
+        y = Mh @ (M @ x)
+        new = float(np.linalg.norm(y))
+        if new == 0.0:
+            return 0.0
+        x = y / new
+        if abs(new - lam) <= rtol * max(new, 1.0):
+            lam = new
+            break
+        lam = new
+    return math.sqrt(lam)
+
+
+def empirical_bound_reference(point) -> float:
+    """max(1, max over ball words t of the power-iteration norm of pi_z(t)
+    on its interior columns), one word at a time."""
+    best = 1.0
+    for t in point.family.ball.elements[1:]:
+        M = interior_map_reference(point, t)
+        best = max(best, sigma_max_lower_reference(M))
+    return best

@@ -159,6 +159,21 @@ class TestBracket:
         assert row.upper_provenance == "none"
         assert row.lower > 1.0  # window SDP sees the oscillation
 
+    def test_lattice_rank_three_hits_the_grid_cap(self, tmp_path, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the Z^3 quadrature grid was allocated")
+
+        monkeypatch.setattr(np, "meshgrid", refuse)
+        group_json = tmp_path / "z3.json"
+        group_json.write_text(json.dumps({"kind": "zn", "n": 3}))
+        phi_json = tmp_path / "ind.json"
+        phi_json.write_text(json.dumps({"name": "ind", "support": [
+            [[0, 0, 0], 1.0, 0.0], [[1, 0, 0], 1.0, 0.0]]}))
+        assert main(["bracket", "--group", str(group_json), "--multiplier",
+                     str(phi_json), "-d", "2", "-R", "1",
+                     "--out", str(tmp_path / "o")]) == 3
+        assert "resource cap" in capsys.readouterr().err
+
     def test_bad_multiplier_json(self, tmp_path, groups):
         phi_json = tmp_path / "bad.json"
         phi_json.write_text(json.dumps({"name": "x"}))

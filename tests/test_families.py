@@ -6,6 +6,7 @@ import io
 import json
 import math
 import cmath
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from mdlab.multipliers import (
     folner_approximants,
     md_upper_from_certificate,
 )
+from mdlab import families
 from mdlab.families import (
     ConvergenceReport,
     FamilyError,
@@ -44,7 +46,11 @@ from mdlab.families import (
     write_family_report,
 )
 
-from oracles import fejer_coefficient
+from oracles import (
+    empirical_bound_reference,
+    fejer_coefficient,
+    interior_map_reference,
+)
 
 Z = ZnGroup(1)
 Z2 = ZnGroup(2)
@@ -54,6 +60,12 @@ F2 = FreeGroup(2)
 FAM3 = TreeFamily(2, 3)
 FAM4 = TreeFamily(2, 4)
 FAM5 = TreeFamily(2, 5)
+
+# family parameters for the sweep comparisons: the degenerate point, real
+# points on both sides, conjugate pairs, pure imaginary values and |z| = 0.95
+Z_GRID = [0.0, 0.9, -0.9, 0.3 + 0.3j, 0.3 - 0.3j, 0.5j, -0.5j,
+          0.95 * cmath.exp(1j * math.pi / 3), 0.95 * cmath.exp(-1j * math.pi / 3),
+          0.95j]
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +373,48 @@ class TestTreePoint:
         b2 = FAM4.point(z.conjugate(), check=False).empirical_bound()
         assert b1 == b2
         assert b1 >= 1.0
+
+    @pytest.mark.parametrize("fam", [FAM3, FAM4, FAM5], ids=["R3", "R4", "R5"])
+    def test_empirical_bound_matches_the_per_word_reference(self, fam):
+        for z in Z_GRID:
+            b = fam.point(z, check=False).empirical_bound()
+            ref = empirical_bound_reference(fam.point(z, check=False))
+            assert abs(b - ref) <= 1e-15 * ref, z
+
+    def test_interior_map_matches_the_group_product_reference(self):
+        pt = FAM4.point(0.45 + 0.25j, check=False)
+        for t in FAM4.ball.elements:
+            got = pt.interior_map(t)
+            ref = interior_map_reference(pt, t)
+            assert got.shape == ref.shape
+            assert np.abs((got - ref).toarray()).max(initial=0.0) <= 1e-15, t
+
+    def test_chunked_sweep_matches_one_chunk(self, monkeypatch):
+        monkeypatch.setattr(families, "CHUNK_NNZ", 64)
+        small = TreeFamily(2, 3)
+        assert max(len(b) - 1 for b in small._chunks) > 1
+        for ell in range(1, small.radius + 1):
+            bounds = small._chunks[ell]
+            assert bounds[0] == 0 and bounds[-1] == small._shift[ell].shape[0]
+            assert all(lo < hi for lo, hi in zip(bounds, bounds[1:]))
+        for z in (0.3 + 0.3j, 0.95j):
+            b = small.point(z, check=False).empirical_bound()
+            ref = FAM3.point(z, check=False).empirical_bound()
+            assert abs(b - ref) <= 1e-15 * ref
+
+    def test_radius_seven_point_memory_and_reference(self):
+        fam = TreeFamily(2, 7)
+        z = 0.45 + 0.25j
+        pt = fam.point(z, check=False)
+        tracemalloc.start()
+        try:
+            b = pt.empirical_bound()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2 ** 20
+        ref = empirical_bound_reference(fam.point(z, check=False))
+        assert abs(b - ref) <= 1e-15 * ref
 
 
 class TestHolomorphy:

@@ -165,6 +165,11 @@ class TestQuadratureCertificate:
             circle_quadrature_certificate(
                 Z, Multiplier.finite(Z, {(9,): 1.0}), Q=8)
 
+    def test_z2_grid_at_default_q_is_under_the_node_cap(self):
+        # the Z^3 refusal is pinned end to end in test_cli.py
+        phi = Multiplier.finite(Z2, {(0, 0): 1.0, (1, 0): 1.0})
+        assert len(circle_quadrature_certificate(Z2, phi).xi) == 512 ** 2
+
 
 class TestDensityCertificate:
     def test_poisson(self):
