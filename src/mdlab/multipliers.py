@@ -6,8 +6,8 @@ independent routes:
 
 * lower bounds come from finite windows.  The sup of |phi| works for every
   order; for d >= 2 the window Gram matrix [phi(s^-1 t)] feeds the
-  factorization-norm SDP, whose value (minus the solver tolerance) bounds
-  every higher order as well, because the norms increase with d.
+  factorization-norm solve, whose dual certificate, priced from scratch,
+  bounds every higher order as well, because the norms increase with d.
 * upper bounds come from factorization certificates.  All certificate
   families here are representation-shaped: a map pi into matrices (or exact
   lattice shifts), vectors xi and eta with phi(t) = <pi(t) eta, xi>.  The
@@ -60,10 +60,12 @@ __all__ = [
 ]
 
 
-# Largest dense window solve in compute_bracket, counted in window elements
-# and doubled when the Gram data is genuinely complex (the solver then works
-# on the realified matrix of twice the size).  It keeps the worst window
-# under roughly half a minute.
+# Largest window compute_bracket solves, counted in window elements and
+# doubled when the Gram data is genuinely complex.  The solver works on
+# complex data directly (it once realified it to twice the size); the
+# doubling stays only so that the same windows get a Schur lower bound.
+# Raising the cap or dropping the doubling changes reported brackets and
+# verdicts, so it waits for a change that is allowed to move them.
 WINDOW_CAP = 66
 
 # Largest Q^n quadrature grid a certificate builds.  A node costs on the
@@ -592,13 +594,14 @@ def m2_lower_bound(group, phi: Callable, elements, tol: float = 1e-8,
     """Window lower bound for every order d >= 2.
 
     Builds the Gram-style matrix phi(s^-1 t) over the window (or reuses a
-    precomputed one) and returns the factorization-norm SDP value minus the
-    solver tolerance, together with the solve diagnostics (including the
-    independently feasible dual bound).
+    precomputed one) and returns the price of the factorization-norm dual
+    certificate, less its rounding allowance, together with the solve
+    diagnostics.  The bound holds whatever the solve did; tol only sets how
+    close to the window norm it gets.
     """
     A = gram_matrix(group, phi, list(elements)) if gram is None else gram
     sol = schur_norm(A, tol=tol, max_iter=max_iter)
-    lower = sol.value - tol
+    lower = sol.lower_bound
     return lower, {
         "schur_value": sol.value,
         "dual_lower": sol.lower_bound,
@@ -656,11 +659,8 @@ def cstar_norm_finite(group, g: Callable) -> float:
 def regular_compression_norm(group, g: Callable, elements) -> float:
     """Norm of the window compression of sum g(t) lambda(t); a certified
     lower bound for the full convolution operator norm."""
-    elements = list(elements)
-    M = np.empty((len(elements), len(elements)), dtype=complex)
-    for i, x in enumerate(elements):
-        for j, y in enumerate(elements):
-            M[i, j] = complex(g(group.multiply(x, group.inverse(y))))
+    # pair_values gives g(s_i^-1 s_j); with s_i = x_i^-1 that is g(x_i x_j^-1)
+    M = group.pair_values([group.inverse(x) for x in elements], g, complex)
     return float(np.linalg.norm(M, 2))
 
 

@@ -1,32 +1,32 @@
-"""Entrywise-factorization norm of a matrix by interior-point SDP.
+"""Entrywise-factorization norm of a matrix through its reduced dual.
 
 The norm of A is the least t admitting vectors x_1..x_m, y_1..y_n with
-A_ij = <x_i, y_j> and max_i |x_i|^2 <= t, max_j |y_j|^2 <= t.  Equivalently,
-minimize t subject to
+A_ij = <x_i, y_j> and max_i |x_i|^2 <= t, max_j |y_j|^2 <= t.  Its dual
+reduces to two probability vectors (Linial-Shraibman 2009):
 
-    [[P, A], [A*, Q]] >= 0,   diag(P) <= t,   diag(Q) <= t,
+    norm(A) = max over a, b of ||D_a^{1/2} A D_b^{1/2}||_tr.
 
-a linear matrix inequality in (P, Q, t).  The solver below is a feasible
-predictor-corrector method with Nesterov-Todd scaling written directly
-against this structure: the Newton system's Gram matrix has a closed form
-in the scaling point, so each iteration is one dense assembly plus one
-Cholesky factorization of a K x K matrix, K = m(m+1)/2 + n(n+1)/2 + 1.
-Off-the-shelf conic translators expand the same problem through a general
-PSD cone interface whose canonicalization is far too large at the matrix
-sizes the norm bracket sweeps need.
+Whatever the weights, one SVD  U S V*  of B = D_a^{1/2} A D_b^{1/2} prices
+both ends, so neither end trusts the iteration that chose (a, b):
 
-Complex input is solved through its realification [[X, -Y], [Y, X]], which
-has the same norm: averaging any feasible point with its conjugate under
-the block rotation J = realified iI restores the complex structure without
-touching the off-diagonal data, the objective, or positive semidefiniteness.
+* the certificate mu = a/2, nu = b/2, R = -D_a^{1/2} U V* D_b^{1/2} / 2 has
+  total mass 1 and [[diag mu, R], [R*, diag nu]] >= 0 (it is D^{1/2} times
+  [[I, -UV*], [-VU*, I]] / 2 times D^{1/2}, and ||UV*|| <= 1), so by weak
+  duality the norm is at least -2 Re <A, R> = tr S;
+* the witness x = D_a^{-1/2} U S^{1/2}, y = D_b^{-1/2} V S^{1/2} reproduces
+  A exactly, so the norm is at most max_i |x_i| max_j |y_j|, which is
+  sqrt(max_i (USU*)_ii / a_i * max_j (VSV*)_jj / b_j).
 
-Both ends of the answer carry checkable evidence.  The primal side yields
-vectors x_i, y_j reproducing A up to a reported residual; the dual side
-yields weights (mu, nu) and a coupling matrix R with
-[[diag mu, R], [R*, diag nu]] >= 0 and total weight 1, which certifies
-norm >= -2 Re <A, R> by weak duality alone.  Certificates are repaired to
-exact feasibility (diagonal shift, mass renormalization) before they are
-reported, so the lower bound never leans on solver accuracy.
+The two meet at the optimum, where a = diag(USU*)/tr S and b likewise.  The
+weights are found by Newton's method on that fixed point: the Hessian of the
+trace norm in the relative weight changes has a closed form in the SVD, the
+step is a Levenberg-Marquardt step inside a trust region, and a step is kept
+when it raises tr S or, with tr S flat to rounding, lowers the witness
+price.  Weights stay above a floor of tol/(8m) and tol/(8n): the witness
+then stays finite where the optimum puts zero weight on a nonzero row, and
+the floors, tol/8 of the mass on each side, cost the bounds a small part of
+tol.  All-zero rows and columns are dropped before the solve and get zero
+weight and zero witness rows.  Complex matrices are solved as they are.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, cholesky, eigh, solve_triangular
 
 __all__ = [
     "SolverError", "SchurSolution", "schur_norm",
@@ -46,11 +45,17 @@ __all__ = [
     "write_matrix_binary", "read_matrix_binary",
 ]
 
-_SQRT2 = math.sqrt(2.0)
+# Entries per chunk of the Hessian's (rows, rows, singular pairs) product,
+# which keeps the work array of a 200 x 200 solve near 8 MB.
+_HESSIAN_CHUNK = 1 << 19
+
+# A trial step shrinks a weight's excess over its floor at most tenfold, so
+# weights the optimum sets to zero reach the floor in about ten steps.
+_SHRINK = 0.1
 
 
 class SolverError(RuntimeError):
-    """Interior-point iteration failed to reach the requested tolerance."""
+    """The weight iteration failed to reach the requested tolerance."""
 
 
 @dataclass
@@ -58,10 +63,12 @@ class SchurSolution:
     """Norm value with a factorization witness and a dual certificate.
 
     x, y are row-stacked factor vectors (A ~ x @ y.conj().T up to
-    witness_residual).  (mu, nu, R) is feasible for the dual after repair:
-    the block matrix [[diag mu, R], [R*, diag nu]] is positive semidefinite
-    with sum(mu) + sum(nu) = 1, so lower_bound = -2 Re <A, R> holds
-    unconditionally, not merely up to solver tolerance.
+    witness_residual), priced by upper_bound.  (mu, nu, R) is the dual
+    certificate of the final weights: [[diag mu, R], [R*, diag nu]] is
+    positive semidefinite with sum(mu) + sum(nu) = 1, and lower_bound is its
+    price -2 Re <A, R> less a rounding allowance, so it holds whatever the
+    iteration did.  value is the trace norm at the final weights; gap is
+    (upper_bound - lower_bound) / max(1, upper_bound).
     """
 
     value: float
@@ -79,205 +86,8 @@ class SchurSolution:
 
 
 # ---------------------------------------------------------------------------
-# interior-point core (real symmetric data)
-# ---------------------------------------------------------------------------
-
-def _alpha_psd(L: np.ndarray, D: np.ndarray) -> float:
-    """Largest a with X + a D >= 0, given X = L L^T > 0 and symmetric D."""
-    T = solve_triangular(L, D, lower=True, check_finite=False)
-    T = solve_triangular(L, T.T, lower=True, check_finite=False)
-    lam = np.linalg.eigvalsh((T + T.T) / 2.0)[0]
-    if lam >= -1e-16:
-        return math.inf
-    return -1.0 / lam
-
-
-def _alpha_vec(x: np.ndarray, d: np.ndarray) -> float:
-    neg = d < 0
-    if not neg.any():
-        return math.inf
-    return float(np.min(x[neg] / -d[neg]))
-
-
-def _ipm(A: np.ndarray, tol: float, max_iter: int) -> dict:
-    """Minimize t over [[P,A],[A^T,Q]] >= 0, diag P <= t, diag Q <= t.
-
-    Expects real A prescaled to spectral norm about 1.  Returns the primal
-    block S1 = [[P,A],[A^T,Q]], slacks s2 = (t - diag P, t - diag Q), the
-    dual block Z1 and diagonal dual z2, plus iteration diagnostics.  The
-    start P = Q = 1.2 I, t = 2.4, Z1 = I/(m+n), z2 = 1/(m+n) is strictly
-    feasible on both sides, and steps stay 0.98 short of each boundary, so
-    every iterate remains feasible and the duality gap is a true error bound.
-    """
-    m, n = A.shape
-    N1 = m + n
-    ntot = 2 * N1
-    ia_p, ib_p = np.triu_indices(m)
-    ia_q, ib_q = np.triu_indices(n)
-    ia = np.concatenate([ia_p, ia_q + m])
-    ib = np.concatenate([ib_p, ib_q + m])
-    K0 = ia.size
-    K = K0 + 1
-    off = ia != ib
-    unpack = np.where(off, 1.0 / _SQRT2, 1.0)   # svec entry -> matrix entry
-    pack = np.where(off, _SQRT2, 1.0)           # matrix entry -> svec entry
-    wgt = np.where(off, 1.0, 1.0 / _SQRT2)      # Gram-matrix scaling weights
-    diag_k = np.nonzero(~off)[0]
-    diag_pos = ia[diag_k]
-
-    def build_S(y):
-        S1 = np.zeros((N1, N1))
-        vals = y[:K0] * unpack
-        S1[ia, ib] = vals
-        S1[ib, ia] = vals
-        S1[:m, m:] = A
-        S1[m:, :m] = A.T
-        s2 = y[K0] - np.diagonal(S1)
-        return S1, s2
-
-    y = np.zeros(K)
-    y[diag_k] = 1.2
-    y[K0] = 2.4
-    Z1 = np.eye(N1) / N1
-    z2 = np.full(N1, 1.0 / N1)
-
-    chunk = max(64, (1 << 22) // max(K0, 1))
-    converged = False
-    it = 0
-    gap_rel = math.inf
-    S1, s2 = build_S(y)
-    for it in range(1, max_iter + 1):
-        pobj = y[K0]
-        dobj = -2.0 * float(np.sum(A * Z1[:m, m:]))
-        gap_rel = (pobj - dobj) / max(1.0, abs(pobj))
-        mu = (float(np.sum(S1 * Z1)) + float(s2 @ z2)) / ntot
-        if gap_rel <= tol and mu / max(1.0, abs(pobj)) <= tol:
-            converged = True
-            break
-
-        try:
-            L = cholesky(S1, lower=True, check_finite=False)
-            Lz = cholesky(Z1, lower=True, check_finite=False)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"iterate left the cone at iteration {it}") from exc
-        eye = np.eye(N1)
-        S1inv = cho_solve((L, True), eye, check_finite=False)
-        Mid = L.T @ Z1 @ L
-        d, U = eigh((Mid + Mid.T) / 2.0, check_finite=False)
-        d = np.clip(d, 1e-300, None)
-        Msq = (U * np.sqrt(d)) @ U.T
-        Linv = solve_triangular(L, eye, lower=True, check_finite=False)
-        V1 = Linv.T @ (Msq @ Linv)
-        V1 = (V1 + V1.T) / 2.0
-        v2sq = z2 / s2
-        inv_s2 = 1.0 / s2
-
-        H = np.empty((K, K))
-        for r0 in range(0, K0, chunk):
-            r1 = min(K0, r0 + chunk)
-            Va = V1[ia[r0:r1]]
-            Vb = V1[ib[r0:r1]]
-            Kc = Va[:, ia] * Vb[:, ib]
-            Kc += Va[:, ib] * Vb[:, ia]
-            Kc *= wgt[r0:r1, None]
-            Kc *= wgt[None, :]
-            H[r0:r1, :K0] = Kc
-        H[:, K0] = 0.0
-        H[K0, :] = 0.0
-        H[diag_k, diag_k] += v2sq[diag_pos]
-        H[diag_k, K0] = -v2sq[diag_pos]
-        H[K0, diag_k] = -v2sq[diag_pos]
-        H[K0, K0] = float(v2sq.sum())
-
-        cho = None
-        ridge = 1e-13 * float(np.mean(np.diagonal(H)))
-        for attempt in range(4):
-            try:
-                cho = cho_factor(H, lower=True, check_finite=False)
-                break
-            except np.linalg.LinAlgError:
-                H[np.arange(K), np.arange(K)] += ridge
-                ridge *= 100.0
-        if cho is None:
-            raise SolverError(f"newton system not factorizable at iteration {it}")
-
-        svec_S1inv = S1inv[ia, ib] * pack
-
-        def direction(muhat):
-            g = np.empty(K)
-            g[:K0] = muhat * svec_S1inv
-            g[diag_k] -= muhat * inv_s2[diag_pos]
-            g[K0] = muhat * float(inv_s2.sum()) - 1.0
-            dy = cho_solve(cho, g, check_finite=False)
-            dS1 = np.zeros((N1, N1))
-            vals = dy[:K0] * unpack
-            dS1[ia, ib] = vals
-            dS1[ib, ia] = vals
-            ds2 = dy[K0] - np.diagonal(dS1)
-            dZ1 = muhat * S1inv - Z1 - V1 @ dS1 @ V1
-            dZ1 = (dZ1 + dZ1.T) / 2.0
-            dz2 = muhat * inv_s2 - z2 - v2sq * ds2
-            return dy, dS1, ds2, dZ1, dz2
-
-        dy, dS1, ds2, dZ1, dz2 = direction(0.0)
-        ap = min(1.0, 0.98 * min(_alpha_psd(L, dS1), _alpha_vec(s2, ds2)))
-        ad = min(1.0, 0.98 * min(_alpha_psd(Lz, dZ1), _alpha_vec(z2, dz2)))
-        mu_aff = (float(np.sum((S1 + ap * dS1) * (Z1 + ad * dZ1)))
-                  + float((s2 + ap * ds2) @ (z2 + ad * dz2))) / ntot
-        sigma = min(1.0, max(1e-8, (max(mu_aff, 0.0) / mu) ** 3))
-
-        dy, dS1, ds2, dZ1, dz2 = direction(sigma * mu)
-        ap = min(1.0, 0.98 * min(_alpha_psd(L, dS1), _alpha_vec(s2, ds2)))
-        ad = min(1.0, 0.98 * min(_alpha_psd(Lz, dZ1), _alpha_vec(z2, dz2)))
-        y = y + ap * dy
-        Z1 = Z1 + ad * dZ1
-        Z1 = (Z1 + Z1.T) / 2.0
-        z2 = z2 + ad * dz2
-        S1, s2 = build_S(y)
-
-    return {
-        "S1": S1, "s2": s2, "t": float(y[K0]), "Z1": Z1, "z2": z2,
-        "iterations": it, "gap": float(gap_rel), "converged": converged,
-    }
-
-
-# ---------------------------------------------------------------------------
-# realification bridge
-# ---------------------------------------------------------------------------
-
-def _realify(A: np.ndarray) -> np.ndarray:
-    X, Y = A.real, A.imag
-    return np.block([[X, -Y], [Y, X]])
-
-
-def _complex_from_realified(B: np.ndarray, m: int, n: int) -> np.ndarray:
-    """Recover M from a (possibly perturbed) realification [[X,-Y],[Y,X]].
-
-    Averages the two copies of each part, which is exactly the projection
-    onto matrices commuting with the block rotation J; positive
-    semidefiniteness survives because the projection is an average of
-    rotations of the input.
-    """
-    X = (B[:m, :n] + B[m:, n:]) / 2.0
-    Y = (B[m:, :n] - B[:m, n:]) / 2.0
-    return X + 1j * Y
-
-
-# ---------------------------------------------------------------------------
 # witnesses and certificates
 # ---------------------------------------------------------------------------
-
-def _factor_gram(G: np.ndarray, m: int, rel_cut: float = 1e-12):
-    """Split a near-PSD Gram block into row vectors for the two index sets."""
-    Gh = (G + G.conj().T) / 2.0
-    lam, U = eigh(Gh, check_finite=False)
-    lmax = float(lam[-1]) if lam.size else 0.0
-    keep = lam > max(lmax, 0.0) * rel_cut
-    if lmax <= 0.0:
-        keep = np.zeros_like(lam, dtype=bool)
-    B = U[:, keep] * np.sqrt(lam[keep])
-    return B[:m], B[m:]
-
 
 def witness_upper_bound(x: np.ndarray, y: np.ndarray) -> float:
     """max_i |x_i| * max_j |y_j|; the norm of exactly the matrix x y*."""
@@ -323,24 +133,6 @@ def certificate_lower_bound(A: np.ndarray, mu: np.ndarray, nu: np.ndarray,
     return float(-2.0 * np.real(np.sum(A * R.conj())))
 
 
-def _repair_certificate(mu, nu, R):
-    """Shift and renormalize so the certificate is feasible outright."""
-    m, n = R.shape
-    mu = np.maximum(mu.real, 0.0)
-    nu = np.maximum(nu.real, 0.0)
-    C = np.zeros((m + n, m + n), dtype=complex)
-    C[:m, :m] = np.diag(mu)
-    C[m:, m:] = np.diag(nu)
-    C[:m, m:] = R
-    C[m:, :m] = R.conj().T
-    lam_min = float(np.linalg.eigvalsh(C)[0]) if m + n else 0.0
-    shift = max(0.0, -lam_min) + 1e-15
-    mu = mu + shift
-    nu = nu + shift
-    mass = float(mu.sum() + nu.sum())
-    return mu / mass, nu / mass, R / mass
-
-
 def psd_check(M: np.ndarray, tol: float = 1e-10) -> tuple[bool, float]:
     """(is PSD up to tol, smallest eigenvalue) for a Hermitian matrix."""
     M = np.asarray(M)
@@ -350,12 +142,113 @@ def psd_check(M: np.ndarray, tol: float = 1e-10) -> tuple[bool, float]:
     return lam >= -tol, lam
 
 
+# ---------------------------------------------------------------------------
+# reduced dual
+# ---------------------------------------------------------------------------
+
+def _graded_svd(B: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """Full SVD of B = D_a^{1/2} A D_b^{1/2}, accurate where weights are tiny.
+
+    Rows and columns are sorted by decreasing weight, a Householder QR of
+    the sorted matrix takes out the large part first, and the SVD of its
+    triangular factor finishes.  A plain SVD of B resolves the block where
+    two weights are small only to rounding relative to the largest entry,
+    and the witness would miss A there by that error over sqrt(a_i b_j):
+    up to 3e-7 on random 6 x 6 matrices, against 1e-10 this way.
+    """
+    ia, ib = np.argsort(-a, kind="stable"), np.argsort(-b, kind="stable")
+    Q, R = np.linalg.qr(B[np.ix_(ia, ib)], mode="complete")
+    U, s, Vh = np.linalg.svd(R)
+    U[ia] = Q @ U
+    Vh[:, ib] = Vh.copy()
+    return U, s, Vh
+
+
+class _Weights:
+    """One SVD of D_a^{1/2} A D_b^{1/2} and the two bounds it prices."""
+
+    def __init__(self, A: np.ndarray, a: np.ndarray, b: np.ndarray):
+        self.a, self.b = a, b
+        self.B = np.sqrt(a)[:, None] * A * np.sqrt(b)
+        self.U, self.s, self.Vh = _graded_svd(self.B, a, b)
+        r = self.s.size
+        self.P = (np.abs(self.U[:, :r]) ** 2) @ self.s      # diag(U S U*)
+        self.Q = (np.abs(self.Vh[:r].T) ** 2) @ self.s     # diag(V S V*)
+        self.value = float(self.s.sum())
+        self.upper = math.sqrt(float(np.max(self.P / a) * np.max(self.Q / b)))
+
+
+def _hessian(pt: _Weights) -> np.ndarray:
+    """Hessian of (alpha, beta) -> ||B(a(1+alpha), b(1+beta))||_tr at 0.
+
+    With E the first-order change of B and F = U* E V, the trace norm's
+    second-order term is sum_kl |F_kl - conj F_lk|^2 / (4 (s_k + s_l)) over
+    the full (zero-padded) singular values; for E = (D_alpha B + B D_beta)/2
+    that is sum_kl c_kl |(U* D_alpha U - V* D_beta V)_kl|^2 with
+    c_kl = (s_k - s_l)^2 / (8 (s_k + s_l)).  The square roots in B add
+    -diag(USU*)/4, -diag(VSV*)/4 and the cross term Re(conj(UV*) o B)/4.
+    """
+    m, n = pt.B.shape
+    N, p = m + n, max(m, n)
+    sig = np.zeros(p)
+    sig[:pt.s.size] = pt.s
+    tot = sig[:, None] + sig[None, :]
+    c = np.divide((sig[:, None] - sig[None, :]) ** 2, 8.0 * tot,
+                  out=np.zeros_like(tot), where=tot > 0)
+    W = np.zeros((N, p), dtype=pt.U.dtype)
+    W[:m, :m] = pt.U
+    W[m:, :n] = pt.Vh.conj().T
+    H = np.empty((N, N))
+    step = max(1, _HESSIAN_CHUNK // (N * p))
+    for i0 in range(0, N, step):
+        X = W[i0:i0 + step, None, :].conj() * W[None, :, :]
+        H[i0:i0 + step] = np.einsum("ijk,ijk->ij", X @ c, X.conj()).real
+    r = pt.s.size
+    cross = np.real((pt.U[:, :r] @ pt.Vh[:r]).conj() * pt.B) / 4.0
+    H[:m, m:] = cross - H[:m, m:]
+    H[m:, :m] = cross.T - H[m:, :m]
+    H[np.arange(m), np.arange(m)] -= pt.P / 4.0
+    H[np.arange(m, N), np.arange(m, N)] -= pt.Q / 4.0
+    return H
+
+
+def _newton_step(H: np.ndarray, g: np.ndarray, Z: np.ndarray, root: np.ndarray,
+                 delta: float):
+    """Levenberg-Marquardt step for max g.d + d.H d/2 over d in range(Z),
+    with max |d / root| at most delta; returns (d, predicted increase)."""
+    if Z.shape[1] == 0:
+        return np.zeros(H.shape[0]), 0.0
+    lam, V = np.linalg.eigh(Z.T @ H @ Z)
+    lam = np.minimum(lam, 0.0)      # the trace norm is concave in the weights
+    coef = V.T @ (Z.T @ g)
+
+    def step(rho):
+        return Z @ (V @ (coef / (rho - lam)))
+
+    floor = 1e-12 * max(-float(lam[0]), float(np.abs(coef).max()), 1e-300)
+    d = step(floor)
+    if np.abs(d / root).max() > delta:
+        # bisect log(rho) down to where the step fits the trust region
+        lo = math.log(floor)
+        hi = math.log(float(np.abs(coef).sum() / (delta * root.min()))
+                      - float(lam[0]) + floor)
+        while hi - lo > 0.05:
+            mid = 0.5 * (lo + hi)
+            if np.abs(step(math.exp(mid)) / root).max() > delta:
+                lo = mid
+            else:
+                hi = mid
+        d = step(math.exp(hi))
+    return d, float(g @ d + 0.5 * d @ H @ d)
+
+
 def schur_norm(A, tol: float = 1e-8, max_iter: int = 100) -> SchurSolution:
     """Factorization norm of a real or complex matrix with both-sided evidence.
 
-    Raises SolverError when the interior-point loop cannot reach tol within
-    max_iter iterations; tolerances below about 1e-11 are not reliably
-    reachable in double precision.
+    Stops once (upper - lower) / max(1, upper) <= tol for the certified
+    ends; raises SolverError when max_iter Newton steps do not get there, or
+    when no step improves either end (tolerances below about 1e-11 are not
+    reliably reachable in double precision).
     """
     A = np.asarray(A)
     if A.ndim != 2:
@@ -371,56 +264,99 @@ def schur_norm(A, tol: float = 1e-8, max_iter: int = 100) -> SchurSolution:
             iterations=0, gap=0.0, converged=True)
     if not np.all(np.isfinite(np.asarray(A, dtype=complex))):
         raise ValueError("matrix has non-finite entries")
+    if not (np.iscomplexobj(A) and np.any(A.imag)):
+        A = A.real.astype(float)
 
-    is_complex = np.iscomplexobj(A) and np.any(A.imag)
-    scale = float(np.linalg.svd(np.asarray(A, dtype=complex), compute_uv=False)[0])
-    if is_complex:
-        As = A / scale
-        work = _realify(As)
-    else:
-        As = A.real.astype(float) / scale
-        work = As
+    # solve on the nonzero block scaled by a power of two to max entry in
+    # [1/2, 1), which is exact even for subnormal data; price on A itself
+    rows, cols = np.any(A != 0, axis=1), np.any(A != 0, axis=0)
+    e = int(np.frexp(float(np.abs(A).max()))[1])
+    scale = math.ldexp(1.0, e)
+    Ar = np.ldexp(A.real[np.ix_(rows, cols)], -e)
+    if np.iscomplexobj(A):
+        Ar = Ar + 1j * np.ldexp(A.imag[np.ix_(rows, cols)], -e)
+    mr, nr = Ar.shape
+    # 8 (m+n) 2^-53 ||A||_F covers the certificate's rounding: a PSD defect
+    # of a few ulps in its block matrix and the summation error in its price
+    allowance = 8.0 * (m + n) * 2.0 ** -53 * scale * float(np.linalg.norm(Ar))
+    fa, fb = tol / (8.0 * mr), tol / (8.0 * nr)
+    wa = np.full(mr, (1.0 - mr * fa) / mr)
+    wb = np.full(nr, (1.0 - nr * fb) / nr)
+    pt = _Weights(Ar, fa + wa, fb + wb)
+    delta = 1.0
+    it = 0
+    while True:
+        gap = ((pt.upper - pt.value) * scale + allowance) / max(1.0, pt.upper * scale)
+        if gap <= tol:
+            break
+        if it == max_iter:
+            raise SolverError(
+                f"no convergence in {it} iterations "
+                f"(relative gap {gap:.3e}, tol {tol:.1e})")
+        it += 1
+        # Newton in the relative weight changes alpha (rows, then columns),
+        # each side keeping sum(a alpha) = 0.  Weights within 1% of their
+        # floor whose witness rows are shorter than the value stay put.
+        a, w = np.concatenate([pt.a, pt.b]), np.concatenate([wa, wb])
+        grad = np.concatenate([pt.P, pt.Q]) / 2.0
+        free = (w >= 0.01 * a) | (grad >= 0.5 * pt.value * a)
+        side = np.arange(mr + nr) < mr
+        # solve in beta = sqrt(a) alpha, along range(Z): there every
+        # weight's share of the gradient is on the same footing however
+        # small the weight, which the last digits of the witness need
+        root = np.sqrt(a[free])
+        constraints = np.zeros((root.size, 2))
+        constraints[side[free], 0] = root[side[free]]
+        constraints[~side[free], 1] = root[~side[free]]
+        Z = np.linalg.qr(constraints, mode="complete")[0][:, 2:]
+        H = _hessian(pt)[np.ix_(free, free)] / np.outer(root, root)
+        slack = 4.0 * 2.0 ** -52 * pt.value
+        for _ in range(12):
+            alpha = np.zeros(mr + nr)
+            beta, predicted = _newton_step(H, grad[free] / root, Z, root, delta)
+            alpha[free] = beta / root
+            # a weight's excess over the floor moves by a * alpha, but
+            # shrinks at most tenfold
+            w2 = w * np.maximum(1.0 + a * alpha / w, _SHRINK)
+            wa2, wb2 = w2[:mr], w2[mr:]
+            wa2 *= (1.0 - mr * fa) / wa2.sum()
+            wb2 *= (1.0 - nr * fb) / wb2.sum()
+            trial = _Weights(Ar, fa + wa2, fb + wb2)
+            gain = trial.value - pt.value
+            if gain > slack or (gain >= -slack and trial.upper < pt.upper):
+                if gain > slack and gain < 0.25 * predicted:
+                    delta /= 4.0
+                elif gain > 0.75 * predicted and np.abs(alpha).max() >= 0.99 * delta:
+                    delta = min(2.0 * delta, 1e3)
+                break
+            delta /= 4.0
+        else:
+            raise SolverError(
+                f"no step improves either bound after {it} iterations "
+                f"(relative gap {gap:.3e}, tol {tol:.1e})")
+        pt, wa, wb = trial, wa2, wb2
 
-    # The gap test inside the loop applies to the prescaled matrix; shrink
-    # the target so the rescaled value overshoots the true norm by at most
-    # tol, keeping value - tol a genuine lower bound.
-    res = _ipm(work, max(tol / max(1.0, scale), 1e-12), max_iter)
-    if not res["converged"]:
-        raise SolverError(
-            f"no convergence in {res['iterations']} iterations "
-            f"(relative gap {res['gap']:.3e}, tol {tol:.1e})")
-
-    S1, Z1 = res["S1"], res["Z1"]
-    if is_complex:
-        tm, tn = 2 * m, 2 * n
-        P = _complex_from_realified(S1[:tm, :tm], m, m)
-        Q = _complex_from_realified(S1[tm:, tm:], n, n)
-        G = np.empty((m + n, m + n), dtype=complex)
-        G[:m, :m] = P
-        G[m:, m:] = Q
-        G[:m, m:] = As
-        G[m:, :m] = As.conj().T
-        zd = np.diagonal(Z1)
-        mu = zd[:m] + zd[m:tm]
-        nu = zd[tm:tm + n] + zd[tm + n:]
-        R = 2.0 * _complex_from_realified(Z1[:tm, tm:], m, n)
-    else:
-        G = S1
-        zd = np.diagonal(Z1)
-        mu, nu = zd[:m].copy(), zd[m:].copy()
-        R = Z1[:m, m:].copy()
-
-    x, y = _factor_gram(G, m)
-    x = x * math.sqrt(scale)
-    y = y * math.sqrt(scale)
-    mu, nu, R = _repair_certificate(mu, nu, R)
-    lower = float(-2.0 * np.real(np.sum(A * R.conj())))
+    r = pt.s.size
+    half_a, half_b = np.sqrt(pt.a), np.sqrt(pt.b)
+    root = np.sqrt(pt.s * scale)
+    x = np.zeros((m, r), dtype=pt.U.dtype)
+    y = np.zeros((n, r), dtype=pt.Vh.dtype)
+    x[rows] = pt.U[:, :r] * root / half_a[:, None]
+    y[cols] = pt.Vh[:r].conj().T * root / half_b[:, None]
+    mu, nu = np.zeros(m), np.zeros(n)
+    mu[rows], nu[cols] = pt.a / 2.0, pt.b / 2.0
+    R = np.zeros((m, n), dtype=pt.U.dtype)
+    R[np.ix_(rows, cols)] = -(half_a[:, None] * (pt.U[:, :r] @ pt.Vh[:r])
+                              * half_b) / 2.0
+    price = float(-2.0 * np.real(np.sum(A * R.conj())))
+    # a few ulps of the price itself matter only when A is subnormal
+    lower = price - allowance - 4.0 * float(np.spacing(price))
+    upper = witness_upper_bound(x, y)
     return SchurSolution(
-        value=res["t"] * scale, x=x, y=y,
-        witness_residual=verify_witness(A, x, y),
-        upper_bound=witness_upper_bound(x, y),
-        mu=mu, nu=nu, R=R, lower_bound=lower,
-        iterations=res["iterations"], gap=res["gap"], converged=True)
+        value=pt.value * scale, x=x, y=y,
+        witness_residual=verify_witness(A, x, y), upper_bound=upper,
+        mu=mu, nu=nu, R=R, lower_bound=lower, iterations=it,
+        gap=(upper - lower) / max(1.0, upper), converged=True)
 
 
 # ---------------------------------------------------------------------------

@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+import importlib.util
 import io
 import math
+import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mdlab.families import fejer_multiplier
+from mdlab.groups import ZnGroup, build_ball, gram_matrix
+from mdlab.multipliers import Multiplier
 from mdlab.schur import (
     SolverError,
     certificate_lower_bound,
@@ -24,7 +30,7 @@ from mdlab.schur import (
     write_matrix_csv,
 )
 
-from oracles import schur_norm_2x2_grid
+from oracles import schur_norm_2x2_grid, schur_norm_reference
 
 
 def random_correlation(rng, n):
@@ -247,3 +253,157 @@ def test_matrix_binary_header_checked_before_reading():
 def test_matrix_csv_rejects_ragged():
     with pytest.raises(ValueError):
         read_matrix_csv(io.StringIO("1+0i,2+0i\n3+0i\n"))
+
+
+# ---------------------------------------------------------------------------
+# agreement with the interior-point reference
+# ---------------------------------------------------------------------------
+
+def _solved_in_this_file():
+    """Every matrix the tests above solve (the 2x2 grid-oracle cases and the
+    seeded complex 3 x 4 among them), rebuilt from the same seeds."""
+    cases = [("hadamard", np.array([[1.0, 1.0], [1.0, -1.0]]))]
+    for seed, n in [(0, 2), (1, 3), (2, 5), (3, 8), (4, 12)]:
+        cases.append((f"correlation{n}", random_correlation(np.random.default_rng(seed), n)))
+    rng = np.random.default_rng(11)
+    cases += [(f"grid{k}", rng.normal(size=(2, 2))) for k in range(4)]
+    A = np.random.default_rng(5).normal(size=(4, 5))
+    cases += [("scaled", A), ("scaled3", 3.0 * A)]
+    A = np.random.default_rng(6).normal(size=(6, 6))
+    cases += [("full6", A), ("sub6", A[np.ix_([0, 2, 4], [1, 3])])]
+    cases.append(("entry", np.random.default_rng(7).normal(size=(5, 4))))
+    cases.append(("hermitian", np.array([[1.0, 1j], [-1j, 1.0]])))
+    rng = np.random.default_rng(8)
+    cases.append(("complex3x4", rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))))
+    cases.append(("rank_one", np.outer([2.0, -1.0, 0.5], [1.0, 3.0])))
+    cases.append(("certificate", np.random.default_rng(9).normal(size=(4, 4))))
+    cases.append(("deterministic", np.random.default_rng(10).normal(size=(5, 3))))
+    cases.append(("single", np.array([[3.0]])))
+    cases.append(("row", np.random.default_rng(13).normal(size=(1, 6))))
+    return cases
+
+
+def _z_window_grams(seed: int):
+    """The seven window Grams of the benchmark's z-window pool at a seed."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "inputs.py")
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    bench_inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_inputs)
+    inputs = bench_inputs.z_window_inputs(seed)
+    Z = ZnGroup(1)
+    window = build_ball(Z, inputs["radius"]).elements
+    grams = []
+    for item in inputs["pool"]:
+        if item["kind"] == "fejer":
+            phi = fejer_multiplier(Z, item["N"], item["r"])
+        else:
+            phi = Multiplier.finite(Z, {(k,): v for k, v in item["support"]})
+        name = item["name"] if "name" in item else f"fejer{item['N']}"
+        grams.append((name, gram_matrix(Z, phi, window)))
+    return grams
+
+
+@pytest.mark.parametrize("name,A", _solved_in_this_file() + _z_window_grams(1),
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_agrees_with_interior_point_reference(name, A):
+    sol = schur_norm(A, tol=1e-8)
+    ref = schur_norm_reference(A, tol=1e-8)
+    assert abs(sol.value - ref.value) <= 1e-7
+    assert abs(sol.lower_bound - ref.lower_bound) <= 1e-7
+
+
+complex_entries = st.one_of(
+    st.just(0j), st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)))
+
+
+@st.composite
+def sparse_complex_matrices(draw):
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    A = np.array(draw(st.lists(complex_entries, min_size=m * n, max_size=m * n)),
+                 dtype=complex).reshape(m, n)
+    A[np.array(draw(st.lists(st.booleans(), min_size=m, max_size=m)))] = 0
+    A[:, np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))] = 0
+    return A
+
+
+@given(sparse_complex_matrices())
+@settings(max_examples=60, deadline=None)
+def test_both_ends_certified_on_random_complex(A):
+    sol = schur_norm(A)
+    assert certificate_lower_bound(A, sol.mu, sol.nu, sol.R) >= sol.lower_bound
+    assert sol.lower_bound <= sol.upper_bound
+    assert sol.witness_residual <= 1e-9 * max(1.0, float(np.abs(A).max()))
+
+
+# ---------------------------------------------------------------------------
+# degenerate inputs, each within the default max_iter
+# ---------------------------------------------------------------------------
+
+def _check_converged(sol, A, tol=1e-8):
+    assert sol.converged and sol.gap <= tol
+    assert sol.iterations <= 100
+    assert certificate_lower_bound(A, sol.mu, sol.nu, sol.R) >= sol.lower_bound
+    assert sol.witness_residual <= 1e-9 * max(1.0, float(np.abs(A).max()))
+
+
+def test_zero_row_and_column_are_dropped():
+    A = np.random.default_rng(16).normal(size=(4, 5))
+    A[1] = 0.0
+    A[:, 2] = 0.0
+    sol = schur_norm(A)
+    _check_converged(sol, A)
+    inner = schur_norm(np.delete(np.delete(A, 1, axis=0), 2, axis=1))
+    assert sol.value == inner.value and sol.iterations == inner.iterations
+    assert not np.any(sol.x[1]) and not np.any(sol.y[2])
+    assert sol.mu[1] == 0.0 and sol.nu[2] == 0.0
+    assert not np.any(sol.R[1]) and not np.any(sol.R[:, 2])
+
+
+@pytest.mark.parametrize("shape", [(1, 7), (7, 1)])
+def test_single_row_or_column_is_the_largest_entry(shape):
+    rng = np.random.default_rng(17)
+    A = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    sol = schur_norm(A)
+    _check_converged(sol, A)
+    top = float(np.abs(A).max())
+    # the witness prices x y*, which is A up to the witness residual
+    assert sol.lower_bound <= top <= sol.upper_bound * (1.0 + 1e-14)
+    assert abs(sol.value - top) <= 1e-8 * top
+
+
+def test_complex_rank_one():
+    u = np.array([2.0, -1.0 + 1j, 0.5j])
+    v = np.array([1.0, 3.0 - 1j, -0.5])
+    A = np.outer(u, v.conj())
+    sol = schur_norm(A)
+    _check_converged(sol, A)
+    exact = float(np.abs(u).max() * np.abs(v).max())
+    assert sol.lower_bound <= exact <= sol.upper_bound * (1.0 + 1e-14)
+
+
+@pytest.mark.parametrize("A,value", [
+    # the third row's witness (0.1, 0.1) is shorter than the others: its
+    # optimal weight is zero
+    (np.array([[1.0, 0.0], [0.0, 1.0], [0.1, 0.1]]), 1.0),
+    # the norm is the largest entry: the weight on the third column vanishes
+    (np.array([[1.0, 0.0, -1.0, -1.0], [2.0, 0.0, 0.0, 1.0]]), 2.0),
+])
+def test_weights_vanishing_on_a_nonzero_row(A, value):
+    sol = schur_norm(A)
+    _check_converged(sol, A)
+    assert sol.lower_bound <= value <= sol.upper_bound * (1.0 + 1e-14)
+    weights = np.concatenate([sol.mu[np.any(A, axis=1)], sol.nu[np.any(A, axis=0)]])
+    assert 2.0 * weights.min() <= 1e-8
+
+
+def test_large_solve_memory():
+    A = np.random.default_rng(18).normal(size=(200, 200))
+    tracemalloc.start()
+    try:
+        sol = schur_norm(A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.gap <= 1e-8
+    assert peak <= 64 * 2 ** 20
