@@ -141,8 +141,17 @@ def _read_matrix_any(path: str):
         return read_matrix_csv(fh)
 
 
+# Largest row or column count `mdlab schur` solves.  Measured on seeded n x n
+# Gaussians with 2 vCPUs: 16 s real and 58 s complex at n = 400, against
+# 5.6 s and 20 s at n = 300; the cost grows about as n^3.7.
+SCHUR_SIZE_CAP = 400
+
+
 def cmd_schur(args, cfg: RunConfig) -> int:
     A = _read_matrix_any(args.matrix)
+    if max(A.shape) > SCHUR_SIZE_CAP:
+        raise BallCapError(f"schur: {A.shape[0]} x {A.shape[1]} matrix exceeds "
+                           f"the size cap {SCHUR_SIZE_CAP}")
     # the value is printed to 6 decimals; the config default (1e-6) sits at
     # print precision, so tighten unless the user chose a tolerance
     tol = cfg.tol if cfg.tol != DEFAULTS.tol else 1e-8

@@ -9,8 +9,12 @@ and be compared without wrapper objects.
 Word length is the canonical-form length where one exists (freely reduced
 word length on F_k, the L1 norm on Z^n) and breadth-first distance in the
 Cayley graph over the fixed symmetric generating set otherwise.  Matrix
-entries grow fast in SL(2,Z) balls; Python integers are exact at every size,
-so products are never silently wrapped.
+entries grow fast in SL(2,Z) balls, and products are never silently
+wrapped: tuples hold Python integers, exact at every size, and the array
+kernel shared by SL(2,Z) and the semidirect product works in int64 only
+where a bound on its inputs' largest entry, checked before the multiply,
+proves that no entry or sort code can overflow; otherwise its arrays hold
+Python integers (object dtype).
 
 Balls are enumerated sphere by sphere, each sphere sorted in the
 realization's canonical order.  The resulting index map is the contract that
@@ -42,7 +46,15 @@ class BallTooSmallError(GroupError):
 
 
 class BallCapError(RuntimeError):
-    """Ball enumeration or a quadrature grid exceeded its element cap."""
+    """Ball enumeration, a quadrature grid or a matrix exceeded its size cap."""
+
+
+def _as_int(x, what: str) -> int:
+    """int(x) for a value read from outside, or GroupError."""
+    try:
+        return int(x)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise GroupError(f"{what} must be an integer, got {x!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -101,11 +113,16 @@ class GroupRealization:
         self.validate(a)
         horizon = 12 if horizon is None else horizon
         while a not in self._lengths:
-            if self._explored_radius() >= horizon:
-                raise BallTooSmallError(
-                    f"{self.kind}: element beyond BFS horizon {horizon}; enlarge the ball")
-            self._grow_one_sphere()
+            r = len(self._layers)  # the first sphere not yet in _lengths
+            # explored spheres are read at any radius; growth stops at the horizon
+            if r > max(horizon, self._explored_radius()):
+                raise self._beyond(horizon)
+            self._ensure_radius(r)
         return self._lengths[a]
+
+    def _beyond(self, horizon: int) -> BallTooSmallError:
+        return BallTooSmallError(
+            f"{self.kind}: element beyond BFS horizon {horizon}; enlarge the ball")
 
     def pair_values(self, elements: list, f: Callable, dtype) -> np.ndarray:
         """Matrix f(s_i^-1 s_j) over an ordered finite subset, f once per pair.
@@ -118,27 +135,6 @@ class GroupRealization:
         mul = self.multiply
         return np.fromiter((f(mul(a, b)) for a in inv for b in elements),
                            dtype=dtype, count=n * n).reshape(n, n)
-
-    def pair_lengths(self, elements: list, horizon: int | None = None) -> np.ndarray:
-        """Integer matrix L[i, j] = |s_i^-1 s_j| over an ordered finite subset.
-
-        Generic route: one product per pair and one word-length lookup per
-        distinct product, taken in row-major order of first appearance, so a
-        product beyond the BFS horizon raises exactly when an entry-by-entry
-        lookup would.  Realizations with a closed form override this.
-        """
-        n = len(elements)
-        inv = [self.inverse(s) for s in elements]
-        mul = self.multiply
-        # number each distinct product as it first appears: one hash per pair
-        distinct: dict = {}
-        number = distinct.setdefault
-        slots = [number(mul(a, b), len(distinct)) for a in inv for b in elements]
-        known = self._lengths  # explored elements need no validation or search
-        lengths = np.fromiter(
-            (known[t] if t in known else self.word_length(t, horizon) for t in distinct),
-            dtype=np.intp, count=len(distinct))
-        return lengths[np.array(slots, dtype=np.intp)].reshape(n, n)
 
     def _explored_radius(self) -> int:
         return len(self._layers) - 1
@@ -273,10 +269,13 @@ class ZnGroup(GroupRealization):
     """Z^n with integer coordinate tuples; generators are +-e_i."""
 
     kind = "zn"
+    MAX_N = 1000  # the generating set alone holds 2n tuples of n coordinates
 
     def __init__(self, n: int):
         if n < 1:
             raise GroupError(f"Z^n needs n >= 1, got {n}")
+        if n > self.MAX_N:
+            raise GroupError(f"Z^n needs n <= {self.MAX_N}, got {n}")
         self.n = n
         super().__init__()
 
@@ -358,18 +357,24 @@ class FiniteGroup(GroupRealization):
     def __init__(self, table: Iterable[Iterable[int]],
                  generators: list[int] | None = None,
                  names: list[str] | None = None):
-        rows = [list(row) for row in table]
+        try:
+            rows = [list(row) for row in table]
+        except TypeError as exc:
+            raise GroupError("multiplication table must be a list of rows") from exc
         n = len(rows)
         if n == 0 or any(len(row) != n for row in rows):
             raise GroupError("multiplication table must be square and nonempty")
         try:
             tab = np.array(rows, dtype=np.int64)  # converts entries as int() does
-        except OverflowError:
+        except (TypeError, ValueError, OverflowError):
             tab = None
-        if tab is None or ((tab < 0) | (tab >= n)).any():
+        if tab is None or tab.ndim != 2 or ((tab < 0) | (tab >= n)).any():
             # name the first bad entry in row-major order
-            x = next(int(x) for row in rows for x in row if not 0 <= int(x) < n)
-            raise GroupError(f"table entry {x} out of range 0..{n-1}")
+            for x in (x for row in rows for x in row):
+                x = _as_int(x, "table entry")
+                if not 0 <= x < n:
+                    raise GroupError(f"table entry {x} out of range 0..{n-1}")
+            raise GroupError("table entries must be integers")
         ar = np.arange(n)
         trivial = (tab == ar[None, :]).all(axis=1) & (tab == ar[:, None]).all(axis=0)
         if not trivial.any():
@@ -384,16 +389,15 @@ class FiniteGroup(GroupRealization):
         self.order = n
         self._identity = ident
         self._inv = np.argmax(two_sided, axis=1)
-        if names is not None:
-            if len(names) != n:
-                raise GroupError("names list must match the table size")
-            self.names = tuple(str(s) for s in names)
-        else:
-            self.names = tuple(f"g{i}" for i in range(n))
-        if generators is None:
-            gens = [x for x in range(n) if x != ident]
-        else:
-            gens = [int(x) for x in generators]
+        try:
+            self.names = (tuple(f"g{i}" for i in range(n)) if names is None
+                          else tuple(str(s) for s in names))
+            gens = ([x for x in range(n) if x != ident] if generators is None
+                    else [_as_int(x, "generator") for x in generators])
+        except TypeError as exc:
+            raise GroupError("names and generators must be lists") from exc
+        if len(self.names) != n:
+            raise GroupError("names list must match the table size")
         bad = next((x for x in gens if not 0 <= x < n), None)
         if bad is not None:
             raise GroupError(f"generator {bad} out of range 0..{n-1}")
@@ -484,7 +488,140 @@ def _sl2_inv(x):
     return ((d, -b), (-c, a))
 
 
-class SL2Z(GroupRealization):
+# The integer kernel shared by SL(2,Z) and SL(2,Z) x| Z^2: an element is the
+# row (a, b, c, d, v0, v1) of ([[a, b], [c, d]], v), with v = 0 on SL(2,Z).
+
+_INT64_MAX = 2 ** 63 - 1
+
+
+def _exact_dtype(bound: int):
+    """int64 when every value is known to lie in [-bound, bound], else object."""
+    return np.int64 if bound <= _INT64_MAX else object
+
+
+def _bound(rows: np.ndarray) -> int:
+    """Largest absolute entry, as a Python int."""
+    return int(np.abs(rows).max(initial=0))
+
+
+def _row_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Rows of (A,v)(B,w) = (AB, v + A.w), broadcast over the leading axes.
+
+    Entries bounded by X and Y give entries bounded by X (2Y + 1).
+    """
+    a, b, c, d, v0, v1 = np.moveaxis(x, -1, 0)
+    p, q, r, s, w0, w1 = np.moveaxis(y, -1, 0)
+    return np.stack([a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s,
+                     v0 + a * w0 + b * w1, v1 + c * w0 + d * w1], axis=-1)
+
+
+def _row_inverse(x: np.ndarray) -> np.ndarray:
+    """Rows of (A,v)^-1 = (A^-1, -A^-1 v); entries bounded by X give 2X^2."""
+    a, b, c, d, v0, v1 = np.moveaxis(x, -1, 0)
+    return np.stack([d, -b, -c, a, b * v1 - d * v0, c * v0 - a * v1], axis=-1)
+
+
+def _codes(rows: np.ndarray, M: int) -> np.ndarray:
+    """One integer per row with entries in [-M, M], ordered as the rows are
+    lexicographically: the digits of the row in base 2M + 1."""
+    base = 2 * M + 1
+    dtype = _exact_dtype(base ** 6 - 1)
+    code = np.zeros(len(rows), dtype=dtype)
+    for col in rows.T:
+        code = code * base + (col.astype(dtype) + M)
+    return code
+
+
+class _SL2Rows(GroupRealization):
+    """BFS and pair word lengths on integer rows, for SL(2,Z) and its
+    semidirect product with Z^2.
+
+    The explored ball is one row array per sphere, each sorted
+    lexicographically, which is the realizations' sort_key order.  The tuple
+    views _layers and _lengths are made sphere by sphere, only as far as
+    build_ball or word_length reads them.
+    """
+
+    def __init__(self) -> None:
+        self._spheres = [np.array([self._to_row(self.identity)], dtype=np.int64)]
+        self._generator_rows = np.array([self._to_row(s) for s in self.generators()],
+                                        dtype=np.int64)
+        super().__init__()
+
+    def _to_row(self, a) -> tuple:
+        raise NotImplementedError
+
+    def _from_row(self, row: list):
+        raise NotImplementedError
+
+    def _explored_radius(self) -> int:
+        return len(self._spheres) - 1
+
+    def _grow_one_sphere(self, cap: int | None = None) -> None:
+        spheres = self._spheres
+        frontier, gens = spheres[-1], self._generator_rows
+        if 3 * _bound(frontier) > _INT64_MAX:
+            frontier, gens = frontier.astype(object), gens.astype(object)
+        candidates = _row_product(frontier[:, None], gens[None, :]).reshape(-1, 6)
+        # a neighbour of sphere r lies in sphere r - 1, r or r + 1
+        old = spheres[-2:]
+        M = max(_bound(candidates), *map(_bound, old))
+        codes, first = np.unique(_codes(candidates, M), return_index=True)
+        fresh = ~np.isin(codes, np.concatenate([_codes(s, M) for s in old]))
+        spheres.append(candidates[first[fresh]])
+        if cap is not None and sum(map(len, spheres)) > cap:
+            raise BallCapError(
+                f"{self.kind}: ball exceeded cap {cap} at radius {len(spheres) - 1}")
+
+    def _ensure_radius(self, radius: int, cap: int | None = None) -> None:
+        super()._ensure_radius(radius, cap)
+        for r in range(len(self._layers), radius + 1):
+            layer = list(map(self._from_row, self._spheres[r].tolist()))
+            self._layers.append(layer)
+            self._lengths.update(dict.fromkeys(layer, r))
+
+    def pair_lengths(self, elements: list, horizon: int | None = None) -> np.ndarray:
+        """Integer matrix L[i, j] = |s_i^-1 s_j| over an ordered finite subset.
+
+        All n^2 products come from one broadcast.  Each distinct product is
+        found by a sorted search against the explored spheres, and the BFS
+        grows one sphere at a time only until every product is found; past
+        the horizon it raises BallTooSmallError, as word_length does.
+        """
+        for s in elements:
+            self.validate(s)
+        n = len(elements)
+        rows = [self._to_row(s) for s in elements]
+        X = max((abs(x) for row in rows for x in row), default=0)
+        # |s^-1| <= 2X^2 entrywise, so |s^-1 t| <= 2X^2 (2X + 1)
+        S = np.array(rows, dtype=_exact_dtype(2 * X * X * (2 * X + 1))).reshape(n, 6)
+        products = _row_product(_row_inverse(S)[:, None], S[None, :]).reshape(n * n, 6)
+        M = _bound(products)
+        codes, slots = np.unique(_codes(products, M), return_inverse=True)
+        return self._code_lengths(codes, M, horizon)[slots].reshape(n, n)
+
+    def _code_lengths(self, codes: np.ndarray, M: int, horizon: int | None) -> np.ndarray:
+        """Word lengths of the rows with these sorted, distinct codes."""
+        horizon = 12 if horizon is None else horizon
+        lengths = np.empty(len(codes), dtype=np.intp)
+        found, r = 0, 0
+        while found < len(codes):
+            if r > self._explored_radius():
+                if r > horizon:
+                    raise self._beyond(horizon)
+                self._grow_one_sphere()
+            sphere = self._spheres[r]
+            # rows with an entry past M are no product, and have no code in base 2M + 1
+            keys = _codes(sphere[np.abs(sphere).max(axis=1) <= M], M)
+            at = np.minimum(np.searchsorted(codes, keys), len(codes) - 1)
+            hit = at[codes[at] == keys]
+            lengths[hit] = r
+            found += hit.size
+            r += 1
+        return lengths
+
+
+class SL2Z(_SL2Rows):
     """SL(2,Z) with exact integer matrices.
 
     Generated by T = [[1,1],[0,1]], S = [[0,-1],[1,0]] and their inverses.
@@ -511,6 +648,12 @@ class SL2Z(GroupRealization):
     def sort_key(self, a):
         return a[0] + a[1]
 
+    def _to_row(self, a) -> tuple:
+        return a[0] + a[1] + (0, 0)
+
+    def _from_row(self, row: list):
+        return ((row[0], row[1]), (row[2], row[3]))
+
     def validate(self, a) -> None:
         ok = (isinstance(a, tuple) and len(a) == 2
               and all(isinstance(r, tuple) and len(r) == 2 for r in a)
@@ -531,13 +674,13 @@ class SL2Z(GroupRealization):
     def element_from_json(self, obj):
         try:
             elem = (tuple(int(x) for x in obj[0]), tuple(int(x) for x in obj[1]))
-        except (TypeError, IndexError, ValueError) as exc:
+        except (TypeError, LookupError, ValueError, OverflowError) as exc:
             raise GroupError(f"bad SL(2,Z) element JSON {obj!r}") from exc
         self.validate(elem)
         return elem
 
 
-class SL2ZSemidirect(GroupRealization):
+class SL2ZSemidirect(_SL2Rows):
     """SL(2,Z) x| Z^2 with elements (matrix, vector).
 
     Group law (A,v)(B,w) = (AB, v + A.w); the Z^2 factor {(I,v)} is the
@@ -576,6 +719,12 @@ class SL2ZSemidirect(GroupRealization):
         A, v = a
         return (A[0] + A[1], v)
 
+    def _to_row(self, a) -> tuple:
+        return a[0][0] + a[0][1] + a[1]
+
+    def _from_row(self, row: list):
+        return (((row[0], row[1]), (row[2], row[3])), (row[4], row[5]))
+
     def validate(self, a) -> None:
         if not (isinstance(a, tuple) and len(a) == 2):
             raise GroupError(f"semidirect element must be (matrix, vector), got {a!r}")
@@ -594,7 +743,7 @@ class SL2ZSemidirect(GroupRealization):
         try:
             mat = self.matrix_part.element_from_json(obj[0])
             vec = (int(obj[1][0]), int(obj[1][1]))
-        except (TypeError, IndexError, ValueError) as exc:
+        except (TypeError, LookupError, ValueError, OverflowError) as exc:
             raise GroupError(f"bad semidirect element JSON {obj!r}") from exc
         elem = (mat, vec)
         self.validate(elem)
@@ -733,22 +882,26 @@ def load_group(source) -> GroupRealization:
     """
     if isinstance(source, dict):
         desc = source
-    elif hasattr(source, "read"):
-        desc = json.load(source)
     else:
-        with open(source, "r", encoding="utf-8") as fh:
-            desc = json.load(fh)
+        try:
+            if hasattr(source, "read"):
+                desc = json.load(source)
+            else:
+                with open(source, "r", encoding="utf-8") as fh:
+                    desc = json.load(fh)
+        except ValueError as exc:  # JSON syntax or text encoding
+            raise GroupError(f"group description is not valid JSON: {exc}") from exc
     if not isinstance(desc, dict) or "kind" not in desc:
         raise GroupError("group description must be a JSON object with a 'kind'")
     kind = desc["kind"]
     if kind == "free":
         if "rank" not in desc:
             raise GroupError("free group description needs 'rank'")
-        return FreeGroup(int(desc["rank"]))
+        return FreeGroup(_as_int(desc["rank"], "free group 'rank'"))
     if kind == "zn":
         if "n" not in desc:
             raise GroupError("zn description needs 'n'")
-        return ZnGroup(int(desc["n"]))
+        return ZnGroup(_as_int(desc["n"], "zn 'n'"))
     if kind == "finite":
         if "table" not in desc:
             raise GroupError("finite group description needs 'table'")

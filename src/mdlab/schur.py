@@ -134,10 +134,16 @@ def certificate_lower_bound(A: np.ndarray, mu: np.ndarray, nu: np.ndarray,
 
 
 def psd_check(M: np.ndarray, tol: float = 1e-10) -> tuple[bool, float]:
-    """(is PSD up to tol, smallest eigenvalue) for a Hermitian matrix."""
+    """(is PSD up to tol, smallest eigenvalue) for a Hermitian matrix.
+
+    A complex matrix whose imaginary part is all zero goes to the real
+    symmetric eigensolver, which is several times faster.
+    """
     M = np.asarray(M)
     if M.size == 0:
         return True, 0.0
+    if np.iscomplexobj(M) and not np.any(M.imag):
+        M = M.real
     lam = float(np.linalg.eigvalsh((M + M.conj().T) / 2.0)[0])
     return lam >= -tol, lam
 

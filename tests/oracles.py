@@ -21,22 +21,26 @@ from mdlab.schur import (
 )
 
 
-def bfs_sphere_sizes(identity, generators, multiply, radius: int) -> list[int]:
-    """Sphere sizes [#S_0, ..., #S_radius] by plain breadth-first search."""
+def bfs_spheres(identity, generators, multiply, radius: int, key=None) -> list[list]:
+    """Spheres [S_0, ..., S_radius] by plain breadth-first search over tuples,
+    each sorted by key when one is given."""
     seen = {identity}
-    frontier = [identity]
-    sizes = [1]
+    spheres = [[identity]]
     for _ in range(radius):
         nxt = []
-        for x in frontier:
+        for x in spheres[-1]:
             for s in generators:
                 y = multiply(x, s)
                 if y not in seen:
                     seen.add(y)
                     nxt.append(y)
-        sizes.append(len(nxt))
-        frontier = nxt
-    return sizes
+        spheres.append(sorted(nxt, key=key) if key is not None else nxt)
+    return spheres
+
+
+def bfs_sphere_sizes(identity, generators, multiply, radius: int) -> list[int]:
+    """Sphere sizes [#S_0, ..., #S_radius] by plain breadth-first search."""
+    return [len(s) for s in bfs_spheres(identity, generators, multiply, radius)]
 
 
 def free_sphere_size(rank: int, r: int) -> int:

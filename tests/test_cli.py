@@ -4,18 +4,22 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from mdlab.cli import main
+from mdlab.cli import SCHUR_SIZE_CAP, main
 from mdlab.groups import ZnGroup
 from mdlab.families import fejer_multiplier
 from mdlab.multipliers import read_brackets_csv
 from mdlab.schur import write_matrix_binary
 
 from oracles import indicator01_circle_integral
+from strategies import group_descriptions
 
 
 @pytest.fixture
@@ -67,6 +71,15 @@ class TestBall:
         assert main(["ball", "--group", str(g), "-R", "1",
                      "--out", str(tmp_path)]) == 2
 
+    @given(group_descriptions())
+    @settings(max_examples=60, deadline=None)
+    def test_fuzzed_descriptions_exit_0_or_2(self, desc):
+        with tempfile.TemporaryDirectory() as tmp:
+            g = os.path.join(tmp, "g.json")
+            with open(g, "w", encoding="utf-8") as fh:
+                json.dump(desc, fh)
+            assert main(["ball", "--group", g, "-R", "1", "--out", tmp]) in (0, 2)
+
     def test_missing_group_file(self, tmp_path):
         assert main(["ball", "--group", str(tmp_path / "nope.json"),
                      "-R", "1", "--out", str(tmp_path)]) == 2
@@ -99,6 +112,13 @@ class TestSchur:
         m = tmp_path / "huge.bin"
         m.write_bytes(b"SCHR1" + struct.pack("<II", 65535, 65535))
         assert main(["schur", "--matrix", str(m), "--out", str(tmp_path)]) == 2
+
+    def test_matrix_over_the_size_cap_exits_3_before_the_solve(self, tmp_path, capsys):
+        m = tmp_path / "tall.csv"
+        m.write_text("1\n" * (SCHUR_SIZE_CAP + 1))
+        assert main(["schur", "--matrix", str(m), "--out", str(tmp_path)]) == 3
+        assert "size cap" in capsys.readouterr().err
+        assert not (tmp_path / "witness_x.csv").exists()
 
     def test_malformed_csv(self, tmp_path):
         m = tmp_path / "bad.csv"

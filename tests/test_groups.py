@@ -29,7 +29,10 @@ from mdlab.groups import (
 
 from mdlab.multipliers import Multiplier
 
-from oracles import bfs_sphere_sizes, free_sphere_size, gram_matrix_reference, zn_ball_size
+from strategies import GROUP_KINDS, group_descriptions, json_values, matrix_json, semidirect_json
+from oracles import (
+    bfs_sphere_sizes, bfs_spheres, free_sphere_size, gram_matrix_reference, zn_ball_size,
+)
 
 
 def naive_reduce(word):
@@ -256,6 +259,17 @@ class TestSL2Z:
         assert g.element_from_json(g.element_to_json(m)) == m
 
 
+@pytest.mark.parametrize("cls,radius", [(SL2Z, 12), (SL2ZSemidirect, 6)])
+def test_matrix_balls_match_the_python_bfs_sphere_by_sphere(cls, radius):
+    g = cls()
+    ball = build_ball(g, radius)
+    spheres = bfs_spheres(g.identity, g.generators(), g.multiply, radius, key=g.sort_key)
+    assert ball.sphere_sizes == [len(s) for s in spheres]
+    for r, sphere in enumerate(spheres):
+        assert ball.sphere(r) == sphere
+    assert ball.lengths == [r for r, sphere in enumerate(spheres) for _ in sphere]
+
+
 sl2_words = st.lists(st.integers(0, 3), min_size=0, max_size=8)
 
 
@@ -405,9 +419,6 @@ def make_group(kind):
     return SL2ZSemidirect(), 2
 
 
-GROUP_KINDS = ("free", "zn", "finite", "sl2z", "sl2z_semidirect")
-
-
 def sample_phis(g, ball):
     """Radial (short and full coefficient lists), finite, and a plain function."""
     R = ball.radius
@@ -455,6 +466,17 @@ class TestGramRoutes:
             messages.append(str(info.value))
         assert messages[0] == messages[1]
 
+    def test_huge_product_past_the_horizon_raises_like_the_reference(self):
+        x = ((1, 10 ** 30), (0, 1))  # T^(10^30): its row has no int64 code
+        messages = []
+        for gram in (gram_matrix_reference, gram_matrix):
+            g = SL2Z()
+            with pytest.raises(BallTooSmallError) as info:
+                gram(g, Multiplier.radial(g, [0.5, 0.25]), [g.identity, x])
+            messages.append(str(info.value))
+            assert g._explored_radius() == 16
+        assert messages[0] == messages[1]
+
     def test_finite_radial_past_the_horizon_raises(self):
         cyclic = [[(i + j) % 40 for j in range(40)] for i in range(40)]
         for gram in (gram_matrix_reference, gram_matrix):
@@ -482,6 +504,79 @@ class TestGramRoutes:
             for gram in (gram_matrix_reference, gram_matrix):
                 with pytest.raises(GroupError):
                     gram(g, phi, window)
+
+    @pytest.mark.parametrize("kind", ["sl2z", "sl2z_semidirect"])
+    def test_matrix_entries_beyond_int64(self, kind):
+        g = SL2Z() if kind == "sl2z" else SL2ZSemidirect()
+        big = ((1, 10 ** 30), (0, 1))
+        x = big if kind == "sl2z" else (big, (10 ** 40, -3))
+        T, S = g.generators()[0], g.generators()[2]
+        window = [x, g.multiply(x, T), g.multiply(x, S)]
+        assert_same_gram(g, Multiplier.radial(g, [1.0, 0.5j, 0.25, 0.125]), window)
+
+    @pytest.mark.parametrize("kind", ["sl2z", "sl2z_semidirect"])
+    def test_malformed_matrix_elements_raise_group_errors(self, kind):
+        bad_det = ((1, 0), (0, 2))
+        if kind == "sl2z":
+            g = SL2Z()
+            det_window = [g.identity, bad_det]
+            shape_windows = ([g.identity, ((1, 0), (0, 1), (0, 0))],
+                             [((1.0, 0), (0, 1))], [((1, 0), (0,))])
+        else:
+            g = SL2ZSemidirect()
+            det_window = [g.identity, (bad_det, (0, 0))]
+            shape_windows = ([(SL2Z.T, (0, 0, 0))], [(SL2Z.T,)],
+                             [(SL2Z.T, (0, "1"))], [((1, 0), (0, 1))])
+        phi = Multiplier.radial(g, [1.0, 0.5])
+        for gram in (gram_matrix_reference, gram_matrix):
+            with pytest.raises(GroupError):
+                gram(g, phi, det_window)
+        for window in shape_windows:
+            with pytest.raises(GroupError):
+                gram_matrix(g, phi, window)
+
+    @given(st.sampled_from(["sl2z", "sl2z_semidirect"]), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_random_matrix_words(self, kind, data):
+        # words short enough that every product lies within radius 12 (SL(2,Z))
+        # or 6 (semidirect), so both sides stay cheap
+        cls, letters, longest = ((SL2Z, 3, 6) if kind == "sl2z"
+                                 else (SL2ZSemidirect, 7, 3))
+        words = data.draw(st.lists(st.lists(st.integers(0, letters), max_size=longest),
+                                   max_size=12))
+        coeffs = data.draw(st.lists(st.complex_numbers(max_magnitude=2, allow_nan=False),
+                                    max_size=2 * longest + 3))
+        window = [sl2_from_word(cls(), w) for w in words]
+        g, ref = cls(), cls()  # cold balls for both routes
+        got = gram_matrix(g, Multiplier.radial(g, coeffs), window)
+        want = gram_matrix_reference(ref, Multiplier.radial(ref, coeffs), window)
+        assert got.dtype == np.complex128
+        assert got.tobytes() == want.tobytes()
+
+    def test_sl2z_radial_gram_grows_lazily_without_pair_products(self, monkeypatch):
+        g = SL2Z()
+        ball = build_ball(g, 6)
+        assert len(ball) == 204
+        phi = Multiplier.radial(g, [0.5 ** k for k in range(13)])
+        assert phi.horizon == 16
+        calls = {"multiply": 0, "grow": 0}
+        multiply, grow = SL2Z.multiply, SL2Z._grow_one_sphere
+
+        def counting_multiply(self, a, b):
+            calls["multiply"] += 1
+            return multiply(self, a, b)
+
+        def counting_grow(self, cap=None):
+            calls["grow"] += 1
+            return grow(self, cap)
+
+        monkeypatch.setattr(SL2Z, "multiply", counting_multiply)
+        monkeypatch.setattr(SL2Z, "_grow_one_sphere", counting_grow)
+        gram_matrix(g, phi, ball.elements)
+        assert calls["multiply"] == 0
+        # products of two radius-6 elements reach radius 12, not the horizon
+        assert calls["grow"] == 6
+        assert g._explored_radius() == 12
 
     @given(st.sampled_from(["free", "zn"]), st.data())
     @settings(max_examples=40, deadline=None)
@@ -515,3 +610,36 @@ class TestLoadGroup:
             load_group({"kind": "hyperbolic"})
         with pytest.raises(GroupError):
             load_group({"rank": 2})
+
+
+class TestLoaderFuzz:
+    """Loaders reject malformed input with GroupError and nothing else."""
+
+    @given(group_descriptions())
+    @settings(max_examples=300, deadline=None)
+    def test_load_group_descriptions(self, desc):
+        try:
+            g = load_group(desc)
+        except GroupError:
+            return
+        assert g.kind == desc["kind"] in GROUP_KINDS
+
+    @given(st.text(max_size=30) | group_descriptions().map(json.dumps))
+    @settings(max_examples=150, deadline=None)
+    def test_load_group_text(self, text):
+        try:
+            load_group(io.StringIO(text))
+        except GroupError:
+            pass
+
+    @given(st.sampled_from(["sl2z", "sl2z_semidirect"]), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matrix_element_from_json(self, kind, data):
+        g = SL2Z() if kind == "sl2z" else SL2ZSemidirect()
+        obj = data.draw(matrix_json if kind == "sl2z" else semidirect_json | json_values)
+        try:
+            x = g.element_from_json(obj)
+        except GroupError:
+            return
+        g.validate(x)
+        assert g.element_from_json(g.element_to_json(x)) == x

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdlab.families import fejer_multiplier
-from mdlab.groups import ZnGroup, build_ball, gram_matrix
+from mdlab.groups import FreeGroup, ZnGroup, build_ball, gram_matrix
 from mdlab.multipliers import Multiplier
 from mdlab.schur import (
     SolverError,
@@ -184,6 +184,38 @@ def test_psd_check():
     assert ok and lam == pytest.approx(1.0)
     bad, lam2 = psd_check(np.diag([1.0, -0.5]))
     assert not bad and lam2 == pytest.approx(-0.5)
+
+
+@pytest.mark.parametrize("group,radius", [(ZnGroup(2), 6), (FreeGroup(2), 4)])
+def test_psd_check_on_real_data_matches_the_complex_solver(group, radius, monkeypatch):
+    ball = build_ball(group, radius)
+    for r in (0.3, 0.7):
+        G = gram_matrix(group, Multiplier.radial(group, [r ** k for k in range(2 * radius + 1)]),
+                        ball.elements)
+        assert G.dtype == np.complex128 and not np.any(G.imag)
+        want = float(np.linalg.eigvalsh((G + G.conj().T) / 2.0)[0])
+        seen = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def spy(M):
+            seen.append(M.dtype)
+            return eigvalsh(M)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        ok, lam = psd_check(G)
+        monkeypatch.undo()
+        assert seen == [np.float64]
+        assert ok == (want >= -1e-10)
+        assert abs(lam - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def test_psd_check_keeps_complex_hermitian_input_complex():
+    rng = np.random.default_rng(4)
+    B = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    for H in (B @ B.conj().T, B + B.conj().T):
+        ok, lam = psd_check(H)
+        want = float(np.linalg.eigvalsh((H + H.conj().T) / 2.0)[0])
+        assert lam == want and ok == (want >= -1e-10)
 
 
 entries = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
