@@ -20,8 +20,6 @@ import os
 import sys
 import tempfile
 
-import numpy as np
-
 from mdlab.config import DEFAULTS, RunConfig, fmt, resolve_config
 from mdlab.groups import (
     BallCapError,
@@ -44,12 +42,14 @@ from mdlab.multipliers import (
     Multiplier,
     MultiplierError,
     circle_quadrature_certificate,
+    complex_from_json,
     compute_bracket,
     constant_certificate,
-    density_quadrature_certificate,
     extension_limit,
     extension_multiplier,
     folner_tent_value,
+    name_from_json,
+    radial_density_certificate,
     write_brackets_csv,
 )
 from mdlab.families import (
@@ -167,38 +167,15 @@ def cmd_schur(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _radial_circle_density(coeffs):
-    """Circle density of a radial multiplier on Z: c_0 + 2 sum c_l cos(l theta)."""
-    c = np.asarray(coeffs, dtype=complex)
-
-    def density(thetas):
-        th = np.asarray(thetas, dtype=float)
-        if th.ndim == 2:
-            th = th[:, 0]
-        vals = np.full(th.shape, c[0])
-        for ell in range(1, len(c)):
-            vals = vals + 2.0 * c[ell] * np.cos(ell * th)
-        return vals
-
-    return density
-
-
 def _upper_certificate(group, phi, cfg: RunConfig):
     """Best certificate the data admits; None when no certified route exists."""
     if phi.kind == "finite" and isinstance(group, ZnGroup):
         return circle_quadrature_certificate(group, phi)
-    if phi.kind == "radial" and isinstance(group, ZnGroup) and group.n == 1 \
-            and phi.coeffs:
-        dens = _radial_circle_density(phi.coeffs)
-        Q = max(cfg.quad_factor * len(phi.coeffs), 64)
-        probe = dens(2.0 * math.pi * np.arange(Q) / Q)
-        if np.max(np.abs(probe.imag)) > 1e-12:
-            return None
+    if phi.kind == "radial":
         try:
-            return density_quadrature_certificate(
-                group, lambda th: dens(th).real, Q=Q)
+            return radial_density_certificate(group, phi, quad_factor=cfg.quad_factor)
         except CertificateError:
-            return None     # density dips negative: the route does not apply
+            return None     # not Z, or no real nonnegative density: no route
     return None
 
 
@@ -211,12 +188,14 @@ def _load_multiplier(group, path: str, cfg: RunConfig):
     certificate at every order.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+        try:
+            obj = json.load(fh)
+        except RecursionError as exc:
+            raise MultiplierError("multiplier JSON is nested too deeply") from exc
     if isinstance(obj, dict) and "constant" in obj:
-        raw = obj["constant"]
-        c = complex(raw[0], raw[1]) if isinstance(raw, list) else complex(raw)
+        c = complex_from_json(obj["constant"], "constant")
         phi = Multiplier.from_callable(group, lambda t: c,
-                                       name=obj.get("name", "const"))
+                                       name=name_from_json(obj, "const"))
         return phi, constant_certificate(group, c)
     phi = Multiplier.from_json(group, obj)
     return phi, _upper_certificate(group, phi, cfg)

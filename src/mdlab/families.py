@@ -18,9 +18,13 @@ the construction ships with its own contract checks (coefficient
 reproduction, orthogonality at real parameters, a Cauchy-Riemann
 difference-quotient test) plus an empirical operator-norm sweep that is
 reported as a sample, never as a certified norm.  The sweep takes the ball
-words one length class at a time: their interior-restricted operators are
-the blocks of one block-diagonal sparse matrix, assembled in chunks of at
-most CHUNK_NNZ entries, and power iteration runs on all blocks in lockstep.
+words one length class at a time and all its parameters (the quadrature
+nodes of an averaged bound) together: the sparsity layout of a chunk of
+words is built once, each parameter only fills in its values, and the
+interior-restricted operators of every (parameter, word) pair become the
+blocks of one block-diagonal sparse matrix of at most CHUNK_NNZ unsummed
+entries, counted over parameters times words.  Power iteration runs on all
+blocks in lockstep.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -281,8 +285,35 @@ def averaged_bound(weights, bounds) -> float:
 # power iteration in the empirical sweep: step cap and relative stopping rule
 POWER_ITERS = 60
 POWER_RTOL = 1e-13
-# largest number of (unsummed) entries one block-diagonal sweep operator holds
+# largest number of (unsummed) entries one block-diagonal sweep operator
+# holds, counted over parameters times words
 CHUNK_NNZ = 1 << 17
+
+
+class _SweepLayout(NamedTuple):
+    """z-independent CSR structure of one word range's sweep operator M.
+
+    At the parameter with values (vals, inv) = TreeFamily._values(z), slot k
+    of M holds vals[pos[k]] * inv[kind[k]], plus vals[pos2[i]] * inv[kind2[i]]
+    for the i-th slot k = two[i] that sums two entries.  M* holds the
+    conjugated slots in the order tperm, under hptr and hindices.
+    """
+
+    entries: int            # unsummed entries, the unit CHUNK_NNZ counts
+    words: int
+    cols: int
+    rows: int
+    pos: np.ndarray
+    kind: np.ndarray
+    two: np.ndarray
+    pos2: np.ndarray
+    kind2: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    tperm: np.ndarray
+    hptr: np.ndarray
+    hindices: np.ndarray
+
 
 class TreeFamily:
     """Shared combinatorics for one free group and one ball radius.
@@ -295,7 +326,8 @@ class TreeFamily:
     the index map x -> index[t.x] over its interior columns together with
     the chunks the empirical sweep splits each length class into.  Points
     of the family, and the shifted evaluations the difference-quotient
-    checks need, then cost one sparse refill each.
+    checks need, then cost one sparse refill each; the empirical sweep
+    (empirical_bounds) runs on many parameters at once and builds no point.
     """
 
     def __init__(self, rank: int = 2, radius: int = 6, *, cap: int = 500_000):
@@ -419,6 +451,141 @@ class TreeFamily:
         if check:
             pt.run_contract_checks(tol)
         return pt
+
+    # -- empirical operator-norm sweep -----------------------------------------
+
+    def _pattern(self, ell: int, lo: int, hi: int):
+        """The z-independent part of the unsummed COO entries of pi_z(t) on the
+        interior columns, for the words lo..hi-1 of length ell: (word, row,
+        column, position in V's value array, kind of the V^-1 weight).
+
+        Column j is (v_{t.x_j} - z v_{t.parent(x_j)}) / c and column 0 is
+        v_t: V times the shifted columns of V^-1, read straight from V's
+        columns.  An entry's value at z is vals[pos] * inv[kind] with
+        (vals, inv) = _values(z); equal (row, column) pairs add up to the
+        matrix entry.
+        """
+        P = self._shift[ell][lo:hi]
+        K, m = P.shape
+        # per word 2m - 1 columns of V: t.x_j for every j, then
+        # t.parent(x_j) for j >= 1, each with its entry of V^-1
+        src = np.concatenate([P, P[:, self._parent[1:m]]], axis=1).ravel()
+        word = np.repeat(np.arange(K), 2 * m - 1)
+        col = np.tile(np.concatenate([np.arange(m), np.arange(1, m)]), K)
+        kind = np.tile(np.repeat([0, 1, 2], [1, m - 1, m - 1]), K)
+        # V's column a holds the entries ptr[a] .. ptr[a+1]-1
+        start = self._v_ptr[src]
+        size = self._v_ptr[src + 1] - start
+        pos = np.repeat(start - (np.cumsum(size) - size), size) + np.arange(int(size.sum()))
+        return (np.repeat(word, size), self._v_rows[pos], np.repeat(col, size), pos,
+                np.repeat(kind, size))
+
+    def _layout(self, ell: int, lo: int, hi: int) -> _SweepLayout:
+        """CSR layout of the block-diagonal sweep operator for the words
+        lo..hi-1 of length ell, shared by every parameter.
+
+        Rows are compressed to those each word reaches.  A (row, column)
+        slot sums the entries of the two V columns t.x_j and t.parent(x_j),
+        so at most two; since a + b == b + a in floating point, adding the
+        pair in either order gives the value a COO -> CSR conversion would.
+        """
+        word, rows, cols, pos, kind = self._pattern(ell, lo, hi)
+        K = hi - lo
+        m = self._shift[ell].shape[1]
+        # one sort by (word, row, column) orders the slots as M's CSR does
+        reach = word * len(self.ball) + rows
+        key = reach * m + cols
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        starts = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
+        count = np.diff(np.append(starts, key.size))
+        assert count.max() <= 2
+        two = np.flatnonzero(count == 2)
+        first, second = order[starts], order[starts[two] + 1]
+        slot_reach = reach[first]
+        new_row = np.concatenate([[True], slot_reach[1:] != slot_reach[:-1]])
+        indptr = np.append(np.flatnonzero(new_row), first.size)
+        slot_row = np.cumsum(new_row) - 1
+        indices = word[first] * m + cols[first]
+        # M* in CSR: the conjugated slots in column-major order
+        tperm = np.argsort(indices, kind="stable")
+        hptr = np.concatenate([[0], np.cumsum(np.bincount(indices, minlength=K * m))])
+        return _SweepLayout(
+            entries=word.size, words=K, cols=m, rows=indptr.size - 1,
+            pos=pos[first], kind=kind[first], two=two,
+            pos2=pos[second], kind2=kind[second],
+            indptr=indptr, indices=indices, tperm=tperm,
+            hptr=hptr, hindices=slot_row[tperm])
+
+    def _lower_norms(self, layout: _SweepLayout, vals: np.ndarray,
+                     inv: np.ndarray) -> np.ndarray:
+        """Largest singular values from below, by power iteration on M*M, of
+        the interior maps of one word range at several parameters.
+
+        vals and inv stack _values(z) for g parameters; the result has shape
+        (g, words).  The g * words maps are the diagonal blocks of one
+        sparse operator, the parameters' blocks side by side.  Every block
+        keeps its own iteration: the fixed real start vector (deterministic,
+        and conjugate data gives bit-identical values), its own stopping
+        rule and the shared POWER_ITERS cap; a block that has stopped keeps
+        its value while the others go on.
+        """
+        g = vals.shape[0]
+        K, m, nrows = layout.words, layout.cols, layout.rows
+        data = vals[:, layout.pos] * inv[:, layout.kind]
+        data[:, layout.two] += vals[:, layout.pos2] * inv[:, layout.kind2]
+        nnz = data.shape[1]
+        off = np.arange(g)[:, None]
+        M = sp.csr_matrix(
+            (data.ravel(), (layout.indices + off * (K * m)).ravel(),
+             np.append((layout.indptr[:-1] + off * nnz).ravel(), g * nnz)),
+            shape=(g * nrows, g * K * m))
+        Mh = sp.csr_matrix(
+            (data.conj()[:, layout.tperm].ravel(), (layout.hindices + off * nrows).ravel(),
+             np.append((layout.hptr[:-1] + off * nnz).ravel(), g * nnz)),
+            shape=(g * K * m, g * nrows))
+        blocks = g * K
+        x = np.full(blocks * m, 1.0 / math.sqrt(m))
+        lam = np.zeros(blocks)
+        live = np.ones(blocks, dtype=bool)
+        for _ in range(POWER_ITERS):
+            y = (Mh @ (M @ x)).reshape(blocks, m)
+            new = np.sqrt((y.real * y.real).sum(axis=1) + (y.imag * y.imag).sum(axis=1))
+            stop = (new == 0.0) | (np.abs(new - lam) <= POWER_RTOL * np.maximum(new, 1.0))
+            lam = np.where(live, new, lam)
+            live &= ~stop
+            if not live.any():
+                break
+            x = (y / np.where(new == 0.0, 1.0, new)[:, None]).ravel()
+        return np.sqrt(lam).reshape(g, K)
+
+    def empirical_bounds(self, zs) -> np.ndarray:
+        """max(1, max over ball words t of the interior-restricted norm of
+        pi_z(t)), for every parameter z in zs.
+
+        A lower sample of the operator-norm supremum (power iteration
+        underestimates, restriction discards columns), reported as
+        empirical evidence only.  Exactly 1 at real parameters, where the
+        restricted columns are orthonormal.  The words of one length run
+        together, chunk by chunk: each chunk's layout is built once and
+        every parameter adds only its values, as many parameters to one
+        operator as keep it within CHUNK_NNZ unsummed entries.
+        """
+        tables = [self._values(z) for z in zs]
+        best = np.ones(len(tables))
+        if not tables:
+            return best
+        vals = np.stack([v for v, _ in tables])
+        inv = np.stack([w for _, w in tables])
+        for ell in range(1, self.radius + 1):
+            bounds = self._chunks[ell]
+            for lo, hi in zip(bounds, bounds[1:]):
+                layout = self._layout(ell, lo, hi)
+                step = max(1, CHUNK_NNZ // layout.entries)
+                for a in range(0, len(tables), step):
+                    norms = self._lower_norms(layout, vals[a:a + step], inv[a:a + step])
+                    best[a:a + step] = np.maximum(best[a:a + step], norms.max(axis=1))
+        return best
 
     def coefficient_path(self, z: complex, t) -> complex:
         """Basepoint coefficient of the word t at parameter z, light route.
@@ -562,30 +729,6 @@ class TreeFamilyPoint:
             worst = max(worst, float(np.linalg.norm(G, "fro")))
         return worst
 
-    def _entries(self, ell: int, lo: int, hi: int):
-        """Unsummed COO entries (word, row, column, value) of pi_z(t) on the
-        interior columns, for the words lo..hi-1 of length ell.
-
-        Column j is (v_{t.x_j} - z v_{t.parent(x_j)}) / c and column 0 is
-        v_t: V times the shifted columns of V^-1, read straight from V's
-        columns.  Equal (row, column) pairs add up to the matrix entry.
-        """
-        fam = self.family
-        P = fam._shift[ell][lo:hi]
-        K, m = P.shape
-        # per word 2m - 1 columns of V: t.x_j for every j, then
-        # t.parent(x_j) for j >= 1, each with its entry of V^-1
-        src = np.concatenate([P, P[:, fam._parent[1:m]]], axis=1).ravel()
-        word = np.repeat(np.arange(K), 2 * m - 1)
-        col = np.tile(np.concatenate([np.arange(m), np.arange(1, m)]), K)
-        weight = np.tile(self._inv[np.repeat([0, 1, 2], [1, m - 1, m - 1])], K)
-        # V's column a holds the entries ptr[a] .. ptr[a+1]-1
-        start = fam._v_ptr[src]
-        size = fam._v_ptr[src + 1] - start
-        pos = np.repeat(start - (np.cumsum(size) - size), size) + np.arange(int(size.sum()))
-        return (np.repeat(word, size), fam._v_rows[pos], np.repeat(col, size),
-                self._vals[pos] * np.repeat(weight, size))
-
     def interior_map(self, t) -> sp.csr_matrix:
         """pi_z(t) restricted to columns of depth <= radius - len(t), built direct.
 
@@ -600,9 +743,10 @@ class TreeFamilyPoint:
             raise FamilyError(f"word of length {ell} does not fit in radius {self.radius}")
         ball = self.family.ball
         k = ball.index[t] - self.family._sphere_start[ell]
-        _, rows, cols, vals = self._entries(ell, k, k + 1)
+        _, rows, cols, pos, kind = self.family._pattern(ell, k, k + 1)
         m = self._interior_count(self.radius - ell)
-        return sp.csr_matrix((vals, (rows, cols)), shape=(len(ball), m))
+        return sp.csr_matrix((self._vals[pos] * self._inv[kind], (rows, cols)),
+                             shape=(len(ball), m))
 
     def product_defect(self, s, t) -> float:
         """||pi(s) pi(t) - pi(st)|| on columns deep enough for both routes.
@@ -622,55 +766,11 @@ class TreeFamilyPoint:
         return float(np.linalg.norm((prod - direct).toarray(), "fro"))
 
     def empirical_bound(self) -> float:
-        """max(1, max over ball words t of the interior-restricted norm of pi_z(t)).
-
-        A lower sample of the operator-norm supremum (power iteration
-        underestimates, restriction discards columns), reported as
-        empirical evidence only.  Exactly 1 at real parameters, where the
-        restricted columns are orthonormal.  The words of one length run
-        together through _lower_norms, chunk by chunk.
-        """
-        if self._bound is not None:
-            return self._bound
-        best = 1.0
-        for ell in range(1, self.radius + 1):
-            bounds = self.family._chunks[ell]
-            for lo, hi in zip(bounds, bounds[1:]):
-                best = max(best, float(self._lower_norms(ell, lo, hi).max()))
-        self._bound = best
-        return best
-
-    def _lower_norms(self, ell: int, lo: int, hi: int) -> np.ndarray:
-        """Largest singular values from below, by power iteration on M*M, of
-        the interior maps of the words lo..hi-1 of length ell.
-
-        The maps are the diagonal blocks of one sparse operator whose rows
-        are compressed to those each word reaches.  Every block keeps its
-        own iteration: the fixed real start vector (deterministic, and
-        conjugate data gives bit-identical values), its own stopping rule
-        and the shared POWER_ITERS cap; a block that has stopped keeps its
-        value while the others go on.
-        """
-        word, rows, cols, vals = self._entries(ell, lo, hi)
-        K = hi - lo
-        m = self._interior_count(self.radius - ell)
-        reached, crow = np.unique(word * len(self.family.ball) + rows,
-                                  return_inverse=True)
-        M = sp.csr_matrix((vals, (crow, word * m + cols)), shape=(reached.size, K * m))
-        Mh = M.conj().T.tocsr()
-        x = np.full(K * m, 1.0 / math.sqrt(m))
-        lam = np.zeros(K)
-        live = np.ones(K, dtype=bool)
-        for _ in range(POWER_ITERS):
-            y = (Mh @ (M @ x)).reshape(K, m)
-            new = np.sqrt((y.real * y.real).sum(axis=1) + (y.imag * y.imag).sum(axis=1))
-            stop = (new == 0.0) | (np.abs(new - lam) <= POWER_RTOL * np.maximum(new, 1.0))
-            lam = np.where(live, new, lam)
-            live &= ~stop
-            if not live.any():
-                break
-            x = (y / np.where(new == 0.0, 1.0, new)[:, None]).ravel()
-        return np.sqrt(lam)
+        """The family's empirical sweep (TreeFamily.empirical_bounds) at this
+        one parameter, computed once and cached."""
+        if self._bound is None:
+            self._bound = float(self.family.empirical_bounds([self.z])[0])
+        return self._bound
 
     def cr_residual(self, t, h: float = 1e-3) -> float:
         return self.family.holomorphy_residual(t, self.z, h)
@@ -738,9 +838,10 @@ def averaged_family_bound(family: TreeFamily, N: int, r: float, d: int, *,
     """Order-d bound for the smoothed family by averaging point bounds.
 
     Sum of w_q * b(r e^(i theta_q))^d over the Fejer nodes, where b is the
-    empirical operator-norm sample of each family point; conjugate nodes
-    share their bound, halving the sweep.  Returns (value, flags); the
-    flags say plainly that nothing here is certified.
+    family's empirical operator-norm sample; conjugate nodes share their
+    bound, halving the sweep, and the remaining nodes go through one
+    batched sweep.  Returns (value, flags); the flags say plainly that
+    nothing here is certified.
     """
     if d < 1:
         raise FamilyError(f"order d must be >= 1, got {d}")
@@ -748,9 +849,8 @@ def averaged_family_bound(family: TreeFamily, N: int, r: float, d: int, *,
     Q = thetas.shape[0]
     vals = np.empty(Q)
     half = Q // 2
-    for q in range(half + 1):
-        zq = r * cmath.exp(1j * thetas[q])
-        vals[q] = family.point(zq, check=False).empirical_bound()
+    vals[:half + 1] = family.empirical_bounds(
+        [r * cmath.exp(1j * thetas[q]) for q in range(half + 1)])
     for q in range(half + 1, Q):
         vals[q] = vals[Q - q]
     value = averaged_bound(weights, vals ** d)

@@ -338,7 +338,10 @@ class ZnGroup(GroupRealization):
     def element_from_json(self, obj):
         if not isinstance(obj, (list, tuple)):
             raise GroupError(f"Z^n element JSON must be a list, got {obj!r}")
-        elem = tuple(int(x) for x in obj)
+        try:
+            elem = tuple(int(x) for x in obj)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise GroupError(f"bad Z^{self.n} element JSON {obj!r}") from exc
         self.validate(elem)
         return elem
 
@@ -469,7 +472,10 @@ class FiniteGroup(GroupRealization):
         return a
 
     def element_from_json(self, obj):
-        elem = int(obj)
+        try:
+            elem = int(obj)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise GroupError(f"bad finite-group element JSON {obj!r}") from exc
         self.validate(elem)
         return elem
 

@@ -44,10 +44,11 @@ from mdlab.schur import schur_norm
 
 __all__ = [
     "WINDOW_CAP", "GRID_NODE_CAP", "MultiplierError", "CertificateError",
-    "Multiplier",
+    "Multiplier", "complex_from_json", "name_from_json",
     "MatrixRepCertificate", "LatticeShiftCertificate", "CertificateReport",
     "certificate_from_unitary_rep", "certificate_from_bounded_rep",
     "circle_quadrature_certificate", "density_quadrature_certificate",
+    "radial_circle_density", "radial_density_certificate",
     "constant_certificate",
     "folner_tent_value", "folner_multiplier", "folner_certificate",
     "folner_approximants",
@@ -179,27 +180,70 @@ class Multiplier:
 
     @classmethod
     def from_json(cls, group, obj):
+        """Inverse of to_json; any other shape raises MultiplierError.
+
+        Values are finite numbers or [re, im] pairs of them (see
+        complex_from_json); support elements go through the group's own
+        element_from_json, which raises GroupError on a bad element.
+        """
         if not isinstance(obj, dict):
             raise MultiplierError(f"multiplier JSON must be an object, got {obj!r}")
-        name = obj.get("name", "phi")
+        name = name_from_json(obj, "phi")
         if "support" in obj:
+            rows = obj["support"]
+            if not isinstance(rows, list):
+                raise MultiplierError(f"'support' must be a list of rows, got {rows!r}")
             support = {}
-            for row in obj["support"]:
-                if len(row) != 3:
+            for row in rows:
+                if not isinstance(row, list) or len(row) != 3:
                     raise MultiplierError(f"support rows are [element, re, im]: {row!r}")
                 elem = group.element_from_json(row[0])
-                support[elem] = complex(float(row[1]), float(row[2]))
+                support[elem] = complex_from_json(row[1:], "support value")
             return cls.finite(group, support, name=name)
         if "radial" in obj:
-            rows = obj["radial"].get("coeffs_by_length", [])
-            coeffs = []
-            for c in rows:
-                if isinstance(c, (int, float)):
-                    coeffs.append(complex(c))
-                else:
-                    coeffs.append(complex(float(c[0]), float(c[1])))
+            spec = obj["radial"]
+            if not isinstance(spec, dict):
+                raise MultiplierError(f"'radial' must be an object, got {spec!r}")
+            rows = spec.get("coeffs_by_length", [])
+            if not isinstance(rows, list):
+                raise MultiplierError(f"'coeffs_by_length' must be a list, got {rows!r}")
+            coeffs = [complex_from_json(c, "radial coefficient") for c in rows]
             return cls.radial(group, coeffs, name=name)
         raise MultiplierError("multiplier JSON needs 'support' or 'radial'")
+
+
+def _json_real(x, what: str) -> float:
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise MultiplierError(f"{what} must be a number, got {x!r}")
+    try:
+        value = float(x)
+    except OverflowError:   # an integer past the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise MultiplierError(f"{what} must be finite, got {x!r}")
+    return value
+
+
+def complex_from_json(x, what: str = "value") -> complex:
+    """A finite JSON number, or an [re, im] pair of them, as a complex.
+
+    Booleans, strings and non-finite values raise MultiplierError, so a
+    malformed multiplier file fails validation instead of deep inside a
+    solve.
+    """
+    if isinstance(x, list):
+        if len(x) != 2:
+            raise MultiplierError(f"{what} must be a number or [re, im], got {x!r}")
+        return complex(_json_real(x[0], what), _json_real(x[1], what))
+    return complex(_json_real(x, what))
+
+
+def name_from_json(obj: dict, default: str) -> str:
+    """The optional "name" of a multiplier JSON object, which must be a string."""
+    name = obj.get("name", default)
+    if not isinstance(name, str):
+        raise MultiplierError(f"multiplier name must be a string, got {name!r}")
+    return name
 
 
 def sup_abs_window(phi: Callable, elements) -> float:
@@ -491,6 +535,47 @@ def density_quadrature_certificate(group: ZnGroup, density: Callable,
     return MatrixRepCertificate(group=group, pi=pi, xi=root.copy(), eta=root,
                                 pi_norm=1.0, pi_provenance="unitary",
                                 window_member=None, kind="density")
+
+
+def radial_circle_density(coeffs) -> Callable:
+    """Circle density of a radial multiplier on Z: c_0 + 2 sum c_l cos(l theta).
+
+    Takes a flat array of angles or the (L, 1) rows a quadrature grid
+    passes, and returns complex values.
+    """
+    c = np.asarray(coeffs, dtype=complex)
+
+    def density(thetas):
+        th = np.asarray(thetas, dtype=float)
+        if th.ndim == 2:
+            th = th[:, 0]
+        vals = np.full(th.shape, c[0])
+        for ell in range(1, len(c)):
+            vals = vals + 2.0 * c[ell] * np.cos(ell * th)
+        return vals
+
+    return density
+
+
+def radial_density_certificate(group: ZnGroup, phi: Multiplier,
+                               quad_factor: int = 4) -> MatrixRepCertificate:
+    """Density-route certificate for a radial phi on Z.
+
+    The density radial_circle_density(phi.coeffs) goes through
+    density_quadrature_certificate on Q = max(quad_factor * len(coeffs), 64)
+    nodes.  A density that is not real on those nodes (above 1e-12), or that
+    dips negative, admits no certificate: CertificateError.
+    """
+    if not (isinstance(group, ZnGroup) and group.n == 1):
+        raise CertificateError("the radial density route needs the group Z")
+    if phi.kind != "radial" or not phi.coeffs:
+        raise CertificateError("the radial density route needs radial coefficients")
+    dens = radial_circle_density(phi.coeffs)
+    Q = max(quad_factor * len(phi.coeffs), 64)
+    probe = dens(2.0 * math.pi * np.arange(Q) / Q)
+    if np.max(np.abs(probe.imag)) > 1e-12:
+        raise CertificateError("the radial density is not real")
+    return density_quadrature_certificate(group, lambda th: dens(th).real, Q=Q)
 
 
 # ---------------------------------------------------------------------------

@@ -248,6 +248,10 @@ def _newton_step(H: np.ndarray, g: np.ndarray, Z: np.ndarray, root: np.ndarray,
     return d, float(g @ d + 0.5 * d @ H @ d)
 
 
+# largest binary exponent of an entry modulus schur_norm accepts
+MAX_ENTRY_EXP = 1000
+
+
 def schur_norm(A, tol: float = 1e-8, max_iter: int = 100) -> SchurSolution:
     """Factorization norm of a real or complex matrix with both-sided evidence.
 
@@ -276,7 +280,13 @@ def schur_norm(A, tol: float = 1e-8, max_iter: int = 100) -> SchurSolution:
     # solve on the nonzero block scaled by a power of two to max entry in
     # [1/2, 1), which is exact even for subnormal data; price on A itself
     rows, cols = np.any(A != 0, axis=1), np.any(A != 0, axis=0)
-    e = int(np.frexp(float(np.abs(A).max()))[1])
+    amax = float(np.abs(A).max())
+    e = int(np.frexp(amax)[1])
+    # below 2^MAX_ENTRY_EXP, scale times any priced quantity (at most about
+    # sqrt(m n) times the scaled data) stays inside the float range
+    if not math.isfinite(amax) or e > MAX_ENTRY_EXP:
+        raise ValueError(f"matrix entries must be below 2^{MAX_ENTRY_EXP} in modulus, "
+                         f"got {amax:.3e}")
     scale = math.ldexp(1.0, e)
     Ar = np.ldexp(A.real[np.ix_(rows, cols)], -e)
     if np.iscomplexobj(A):

@@ -19,7 +19,12 @@ from mdlab.multipliers import read_brackets_csv
 from mdlab.schur import write_matrix_binary
 
 from oracles import indicator01_circle_integral
-from strategies import group_descriptions
+from strategies import (
+    group_descriptions,
+    matrix_binary_bytes,
+    matrix_csv_text,
+    multiplier_descriptions,
+)
 
 
 @pytest.fixture
@@ -126,6 +131,36 @@ class TestSchur:
         assert main(["schur", "--matrix", str(m), "--out", str(tmp_path)]) == 2
 
 
+# the exit codes malformed input may end with: success, validation, resource cap
+CLEAN_EXITS = (0, 2, 3)
+
+
+def _run_schur_on(payload: bytes) -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        m = os.path.join(tmp, "m.dat")
+        with open(m, "wb") as fh:
+            fh.write(payload)
+        return main(["schur", "--matrix", m, "--out", tmp])
+
+
+class TestFuzzedMatrixFiles:
+    @given(matrix_csv_text)
+    @settings(max_examples=80, deadline=None)
+    def test_csv(self, text):
+        assert _run_schur_on(text.encode("utf-8")) in CLEAN_EXITS
+
+    @given(matrix_binary_bytes())
+    @settings(max_examples=80, deadline=None)
+    def test_binary(self, payload):
+        assert _run_schur_on(payload) in CLEAN_EXITS
+
+    @pytest.mark.parametrize("text", ["1e308,1e308\n1e308,-1e308\n",
+                                      "1.7e308+1.7e308j\n"])
+    def test_entries_past_the_float_range_of_the_solve(self, tmp_path, text, capsys):
+        assert _run_schur_on(text.encode()) == 2
+        assert "below 2^1000" in capsys.readouterr().err
+
+
 class TestBracket:
     def test_constant_any_order(self, tmp_path, groups):
         phi_json = tmp_path / "one.json"
@@ -193,6 +228,38 @@ class TestBracket:
                      str(phi_json), "-d", "2", "-R", "1",
                      "--out", str(tmp_path / "o")]) == 3
         assert "resource cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("body", [
+        {"radial": 5}, {"support": 3}, {"radial": {"coeffs_by_length": [[1]]}},
+        {"constant": [1]}, {"constant": "1+2j"}, {"radial": {"coeffs_by_length": "12"}},
+        {"radial": {"coeffs_by_length": [True]}}, {"support": [[[1e300], 1, 0]]},
+        {"support": [[[0], 1, 0]], "name": [1]}, {"constant": 1, "name": 2},
+    ])
+    def test_malformed_multiplier_shapes_exit_2(self, tmp_path, groups, body, capsys):
+        phi_json = tmp_path / "bad.json"
+        phi_json.write_text(json.dumps(body))
+        assert main(["bracket", "--group", groups["z"], "--multiplier",
+                     str(phi_json), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_deeply_nested_multiplier_json_exits_2(self, tmp_path, groups):
+        phi_json = tmp_path / "deep.json"
+        phi_json.write_text("[" * 100_000 + "]" * 100_000)
+        assert main(["bracket", "--group", groups["z"], "--multiplier",
+                     str(phi_json), "--out", str(tmp_path)]) == 2
+
+    @given(multiplier_descriptions())
+    @settings(max_examples=100, deadline=None)
+    def test_fuzzed_multipliers(self, desc):
+        with tempfile.TemporaryDirectory() as tmp:
+            g = os.path.join(tmp, "z.json")
+            p = os.path.join(tmp, "phi.json")
+            with open(g, "w", encoding="utf-8") as fh:
+                json.dump({"kind": "zn", "n": 1}, fh)
+            with open(p, "w", encoding="utf-8") as fh:
+                json.dump(desc, fh)
+            assert main(["bracket", "--group", g, "--multiplier", p, "-R", "1",
+                         "--out", tmp]) in CLEAN_EXITS
 
     def test_bad_multiplier_json(self, tmp_path, groups):
         phi_json = tmp_path / "bad.json"

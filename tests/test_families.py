@@ -417,6 +417,89 @@ class TestTreePoint:
         assert abs(b - ref) <= 1e-15 * ref
 
 
+class TestBatchedSweep:
+    @pytest.mark.parametrize("fam", [FAM3, FAM4, FAM5], ids=["R3", "R4", "R5"])
+    def test_batched_bounds_equal_one_node_bounds(self, fam):
+        batch = fam.empirical_bounds(Z_GRID)
+        assert batch.shape == (len(Z_GRID),)
+        for z, b in zip(Z_GRID, batch):
+            assert b == fam.point(z, check=False).empirical_bound(), z
+        # conjugate pairs sit next to each other in the grid
+        assert batch[3] == batch[4] and batch[5] == batch[6] and batch[7] == batch[8]
+
+    def test_empty_batch(self):
+        assert FAM3.empirical_bounds([]).shape == (0,)
+
+    def test_batch_validates_every_parameter(self):
+        with pytest.raises(FamilyError):
+            FAM3.empirical_bounds([0.5, 1.0])
+
+    @pytest.mark.parametrize("fam,N", [(FAM3, 2), (FAM3, 4), (FAM4, 2)],
+                             ids=["R3-N2", "R3-N4", "R4-N2"])
+    def test_averaged_family_bound_matches_per_node_reference(self, fam, N):
+        r, d = 0.6, 2
+        thetas, weights = fejer_nodes(N)
+        ref_vals = np.array([
+            empirical_bound_reference(fam.point(r * cmath.exp(1j * th), check=False))
+            for th in thetas])
+        ref = averaged_bound(weights, ref_vals ** d)
+        got, flags = averaged_family_bound(fam, N, r, d)
+        assert abs(got - ref) <= 1e-15 * ref
+        assert flags == ("empirical", "family-average")
+
+    def test_split_batch_equals_unsplit(self, monkeypatch):
+        ref = FAM3.empirical_bounds(Z_GRID)
+        monkeypatch.setattr(families, "CHUNK_NNZ", 64)
+        small = TreeFamily(2, 3)
+        calls = []
+        real = TreeFamily._lower_norms
+
+        def counted(self, layout, vals, inv):
+            calls.append((layout.entries, vals.shape[0]))
+            return real(self, layout, vals, inv)
+
+        monkeypatch.setattr(TreeFamily, "_lower_norms", counted)
+        got = small.empirical_bounds(Z_GRID)
+        assert np.array_equal(got, ref)
+        n_chunks = sum(len(b) - 1 for b in small._chunks[1:])
+        assert n_chunks > small.radius                  # the word ranges split
+        assert len(calls) > n_chunks                    # and so do the nodes
+        assert all(e * g <= 64 or g == 1 for e, g in calls)
+
+    def test_radius_seven_seven_node_batch_memory(self):
+        fam = TreeFamily(2, 7)
+        thetas, _ = fejer_nodes(2)
+        zs = [0.5 * cmath.exp(1j * th) for th in thetas[:7]]
+        tracemalloc.start()
+        try:
+            bounds = fam.empirical_bounds(zs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2 ** 20
+        assert bounds[0] == 1.0
+        assert bounds[3] == fam.point(zs[3], check=False).empirical_bound()
+
+    def test_averaged_bound_builds_one_operator_per_length_chunk(self, monkeypatch):
+        counts = {"layouts": 0, "operators": 0, "points": 0}
+
+        def counting(cls, name, key):
+            real = getattr(cls, name)
+
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(cls, name, wrapper)
+
+        counting(TreeFamily, "_layout", "layouts")
+        counting(TreeFamily, "_lower_norms", "operators")
+        counting(families.TreeFamilyPoint, "__init__", "points")
+        averaged_family_bound(FAM4, 2, 0.5, 2)
+        n_chunks = sum(len(b) - 1 for b in FAM4._chunks[1:])
+        assert counts == {"layouts": n_chunks, "operators": n_chunks, "points": 0}
+
+
 class TestHolomorphy:
     def test_residual_scales_as_h_squared(self):
         t = FAM5.ball.sphere(3)[0]

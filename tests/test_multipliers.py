@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from mdlab.groups import (
     FiniteGroup,
     FreeGroup,
+    GroupError,
     SL2Z,
     SL2ZSemidirect,
     ZnGroup,
@@ -46,6 +47,8 @@ from mdlab.multipliers import (
     md_upper_from_certificate,
     pairing,
     pairing_duality_check,
+    radial_circle_density,
+    radial_density_certificate,
     read_brackets_csv,
     regular_compression_norm,
     restrict_multiplier,
@@ -55,6 +58,7 @@ from mdlab.multipliers import (
 )
 
 from oracles import indicator01_circle_integral, schur_norm_2x2_grid
+from strategies import json_values, multiplier_descriptions
 
 
 Z = ZnGroup(1)
@@ -110,6 +114,23 @@ class TestMultiplier:
             Multiplier.from_json(Z, {"neither": 1})
         with pytest.raises(MultiplierError):
             Multiplier.from_json(Z, {"support": [[[0], 1.0]]})
+
+    def test_json_values_are_finite_numbers_or_pairs(self):
+        phi = Multiplier.from_json(Z, {"radial": {"coeffs_by_length": [1, [0.5, -0.5]]}})
+        assert phi.coeffs == [1.0, 0.5 - 0.5j]
+        for bad in ([True], ["1"], [[1]], [[1, 2, 3]], [float("nan")], [10 ** 400],
+                    [[1, float("inf")]], [None]):
+            with pytest.raises(MultiplierError):
+                Multiplier.from_json(Z, {"radial": {"coeffs_by_length": bad}})
+
+    @given(multiplier_descriptions() | json_values)
+    @settings(max_examples=200, deadline=None)
+    def test_fuzzed_json_raises_only_validation_errors(self, obj):
+        for group in (Z, FreeGroup(2), FiniteGroup([[0, 1], [1, 0]])):
+            try:
+                Multiplier.from_json(group, obj)
+            except (MultiplierError, GroupError):
+                pass
 
 
 class TestQuadratureCertificate:
@@ -186,6 +207,33 @@ class TestDensityCertificate:
         dens = lambda th: np.cos(th[:, 0])
         with pytest.raises(CertificateError):
             density_quadrature_certificate(Z, dens, Q=32)
+
+    def test_radial_density_is_the_cosine_series(self):
+        dens = radial_circle_density([1.0, 0.25j, -0.5])
+        th = np.array([0.0, 0.7, 2.0])
+        expected = 1.0 + 0.5j * np.cos(th) - np.cos(2 * th)
+        assert np.allclose(dens(th), expected, rtol=0, atol=1e-15)
+        assert np.array_equal(dens(th[:, None]), dens(th))
+
+    def test_radial_density_certificate(self):
+        phi = Multiplier.radial(Z, [1.0, 0.3, 0.1])
+        cert = radial_density_certificate(Z, phi)
+        assert len(cert.xi) == 64                     # max(4 * 3, 64) nodes
+        for m in range(-2, 4):
+            assert abs(cert.coefficient((m,)) - phi((m,))) < 1e-15
+        assert cert.bound(2) == pytest.approx(1.0, abs=1e-14)
+        fejer = Multiplier.radial(Z, [1.0 - ell / 20 for ell in range(20)])
+        assert len(radial_density_certificate(Z, fejer, quad_factor=8).xi) == 160
+
+    @pytest.mark.parametrize("group,coeffs", [
+        (Z, [1.0, 0.1j]),           # complex density
+        (Z, [1.0, -0.9]),           # dips negative
+        (Z, []),                    # nothing to certify
+        (Z2, [1.0, 0.1]),           # not the group Z
+    ])
+    def test_radial_density_certificate_refusals(self, group, coeffs):
+        with pytest.raises(CertificateError):
+            radial_density_certificate(group, Multiplier.radial(group, coeffs))
 
 
 class TestFolner:
