@@ -28,6 +28,7 @@ every element operation is integer-based.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -70,9 +71,9 @@ __all__ = [
 WINDOW_CAP = 66
 
 # Largest Q^n quadrature grid a certificate builds.  A node costs on the
-# order of 100 bytes (angles, symbol values, split vectors, temporaries), so
-# Z^2 at Q = 512 (262,144 nodes) fits and Z^3 at Q = 512 (134M nodes, over
-# 8 GB) is refused.
+# order of 100 bytes (symbol values, the FFT's array, split vectors,
+# temporaries, and angle rows once pi is evaluated), so Z^2 at Q = 512
+# (262,144 nodes) fits and Z^3 at Q = 512 (134M nodes, over 8 GB) is refused.
 GRID_NODE_CAP = 1 << 20
 
 
@@ -445,8 +446,13 @@ def constant_certificate(group, value) -> MatrixRepCertificate:
 
 
 def _circle_grid(n: int, Q: int):
-    """Uniform Q^n grid of angle rows (Q^n, n), its weight, and the characters
-    pi(m) = exp(-i m.theta) on it as a diagonal.
+    """Uniform Q^n quadrature grid as (angles, w, pi).
+
+    angles() returns the (Q^n, n) angle rows, built on its first call and
+    kept; w is the node weight; pi(m) = exp(-i m.theta) is the character on
+    the grid as a diagonal.  Symbol values come from _grid_trig_values (one
+    inverse FFT, O(Q^n log Q)), so the angle rows are built only when pi is
+    evaluated or a density callable needs them.
 
     A grid over GRID_NODE_CAP nodes raises BallCapError before any array
     is built.
@@ -454,14 +460,32 @@ def _circle_grid(n: int, Q: int):
     if Q ** n > GRID_NODE_CAP:
         raise BallCapError(f"quadrature grid of {Q}^{n} = {Q ** n} nodes exceeds "
                            f"the cap of {GRID_NODE_CAP}")
-    axes = [2.0 * math.pi * np.arange(Q) / Q for _ in range(n)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    thetas = np.stack([g.ravel() for g in grids], axis=1)
+
+    @functools.cache
+    def angles():
+        axes = [2.0 * math.pi * np.arange(Q) / Q for _ in range(n)]
+        grids = np.meshgrid(*axes, indexing="ij")
+        return np.stack([g.ravel() for g in grids], axis=1)
 
     def pi(m):
-        return np.exp(-1j * (thetas @ np.asarray(m, dtype=float)))
+        return np.exp(-1j * (angles() @ np.asarray(m, dtype=float)))
 
-    return thetas, 1.0 / (Q ** n), pi
+    return angles, 1.0 / (Q ** n), pi
+
+
+def _grid_trig_values(items, n: int, Q: int) -> np.ndarray:
+    """sum_k c_k e^{i k.theta_q} over [(k, c_k)] on the uniform Q^n grid.
+
+    Each c_k is added into bin k mod Q of a (Q,)*n array, and one inverse
+    FFT, scaled by Q^n, evaluates the polynomial at every node, raveled in
+    the C order of _circle_grid's angle rows.  Sharing a bin is exact, since
+    e^{2 pi i k j/Q} = e^{2 pi i (k mod Q) j/Q}.  Cost O(Q^n log Q), whatever
+    the number of terms; callers check the grid cap first.
+    """
+    bins = np.array([[c % Q for c in k] for k, _ in items], dtype=np.int64)
+    coeffs = np.zeros((Q,) * n, dtype=complex)
+    np.add.at(coeffs, tuple(bins.T), np.array([v for _, v in items], dtype=complex))
+    return (Q ** n * np.fft.ifftn(coeffs)).ravel()
 
 
 def circle_quadrature_certificate(group: ZnGroup, phi: Multiplier,
@@ -469,12 +493,14 @@ def circle_quadrature_certificate(group: ZnGroup, phi: Multiplier,
     """Density-route certificate for a finitely supported phi on Z^n.
 
     phi determines the trigonometric polynomial
-    g(theta) = sum_k phi(k) e^{i k.theta}; on the uniform Q^n grid the
-    balanced split xi_q = conj(g_q/|g_q|) sqrt(w |g_q|), eta_q = sqrt(w |g_q|)
-    against the diagonal translation characters reproduces
-    phi(m) = sum_q w g_q e^{-i m.theta_q} exactly (uniform quadrature is
-    exact on trigonometric polynomials below the aliasing frequency), and
-    the bound is the quadrature value of (2pi)^-n int |g|.
+    g(theta) = sum_k phi(k) e^{i k.theta}, evaluated on the uniform Q^n grid
+    by one inverse FFT (_grid_trig_values, O(Q^n log Q)); the balanced split
+    xi_q = conj(g_q) sqrt(w |g_q|) / |g_q| (0 where g_q = 0),
+    eta_q = sqrt(w |g_q|) against the diagonal translation characters
+    reproduces phi(m) = sum_q w g_q e^{-i m.theta_q} exactly (uniform
+    quadrature is exact on trigonometric polynomials below the aliasing
+    frequency), and the bound is the quadrature value of (2pi)^-n int |g|.
+    The angle rows are built only when pi is evaluated.
 
     Aliasing limits exactness to max_i |m_i| <= Q - deg_i - 1, declared via
     window_member; the bound converges to the true density norm as Q grows.
@@ -492,15 +518,14 @@ def circle_quadrature_certificate(group: ZnGroup, phi: Multiplier,
         raise CertificateError(f"Q={Q} too small for support degree {max(degs)}")
     window = Q - max(degs) - 1
 
-    thetas, w, pi = _circle_grid(n, Q)
-    g_vals = np.zeros(thetas.shape[0], dtype=complex)
-    for t, v in items:
-        g_vals += v * np.exp(1j * (thetas @ np.asarray(t, dtype=float)))
-    absg = np.abs(g_vals)
+    _, w, pi = _circle_grid(n, Q)
+    g = _grid_trig_values(items, n, Q)
+    absg = np.abs(g)
     root = np.sqrt(w * absg)
-    phase = np.where(absg > 0, g_vals / np.where(absg > 0, absg, 1.0), 0.0)
+    scale = np.divide(root, absg, out=np.zeros_like(root), where=absg > 0)
+    xi = g.conj()
+    xi *= scale
     eta = root.astype(complex)
-    xi = np.conj(phase) * root
 
     def in_window(m):
         return max(abs(c) for c in m) <= window
@@ -508,6 +533,17 @@ def circle_quadrature_certificate(group: ZnGroup, phi: Multiplier,
     return MatrixRepCertificate(group=group, pi=pi, xi=xi, eta=eta,
                                 pi_norm=1.0, pi_provenance="unitary",
                                 window_member=in_window, kind="quadrature")
+
+
+def _density_certificate(group: ZnGroup, h: np.ndarray, w: float,
+                         pi: Callable) -> MatrixRepCertificate:
+    """xi = eta = sqrt(w h) for density values h on a _circle_grid grid."""
+    if h.min() < -1e-12:
+        raise CertificateError(f"density takes value {h.min()}; must be >= 0")
+    root = np.sqrt(w * np.clip(h, 0.0, None)).astype(complex)
+    return MatrixRepCertificate(group=group, pi=pi, xi=root.copy(), eta=root,
+                                pi_norm=1.0, pi_provenance="unitary",
+                                window_member=None, kind="density")
 
 
 def density_quadrature_certificate(group: ZnGroup, density: Callable,
@@ -525,16 +561,12 @@ def density_quadrature_certificate(group: ZnGroup, density: Callable,
     """
     if not isinstance(group, ZnGroup):
         raise CertificateError("quadrature certificates need a Z^n group")
-    thetas, w, pi = _circle_grid(group.n, Q)
+    angles, w, pi = _circle_grid(group.n, Q)
+    thetas = angles()
     h = np.asarray(density(thetas), dtype=float)
     if h.shape != (thetas.shape[0],):
         raise CertificateError(f"density returned shape {h.shape}")
-    if h.min() < -1e-12:
-        raise CertificateError(f"density takes value {h.min()}; must be >= 0")
-    root = np.sqrt(w * np.clip(h, 0.0, None)).astype(complex)
-    return MatrixRepCertificate(group=group, pi=pi, xi=root.copy(), eta=root,
-                                pi_norm=1.0, pi_provenance="unitary",
-                                window_member=None, kind="density")
+    return _density_certificate(group, h, w, pi)
 
 
 def radial_circle_density(coeffs) -> Callable:
@@ -561,21 +593,29 @@ def radial_density_certificate(group: ZnGroup, phi: Multiplier,
                                quad_factor: int = 4) -> MatrixRepCertificate:
     """Density-route certificate for a radial phi on Z.
 
-    The density radial_circle_density(phi.coeffs) goes through
-    density_quadrature_certificate on Q = max(quad_factor * len(coeffs), 64)
-    nodes.  A density that is not real on those nodes (above 1e-12), or that
-    dips negative, admits no certificate: CertificateError.
+    The density c_0 + 2 sum c_l cos(l theta) of phi.coeffs, the circle
+    density radial_circle_density describes, is evaluated once on
+    Q = max(quad_factor * len(coeffs), 64) nodes by one inverse FFT of the
+    coefficients placed at +-l.  A density that is not real on those nodes
+    (above 1e-12, checked when some coefficient is not real), or that dips
+    negative, admits no certificate: CertificateError.  A grid over
+    GRID_NODE_CAP nodes raises BallCapError before the values are computed.
     """
     if not (isinstance(group, ZnGroup) and group.n == 1):
         raise CertificateError("the radial density route needs the group Z")
     if phi.kind != "radial" or not phi.coeffs:
         raise CertificateError("the radial density route needs radial coefficients")
-    dens = radial_circle_density(phi.coeffs)
-    Q = max(quad_factor * len(phi.coeffs), 64)
-    probe = dens(2.0 * math.pi * np.arange(Q) / Q)
-    if np.max(np.abs(probe.imag)) > 1e-12:
+    c = phi.coeffs
+    Q = max(quad_factor * len(c), 64)
+    _, w, pi = _circle_grid(1, Q)
+    items = [((0,), c[0])] + [((s * ell,), c[ell])
+                              for ell in range(1, len(c)) for s in (1, -1)]
+    h = _grid_trig_values(items, 1, Q)
+    # real coefficients give a real density: the FFT's imaginary part is
+    # then rounding on the scale of sum |c_l|, not a property of phi
+    if any(v.imag for v in c) and np.max(np.abs(h.imag)) > 1e-12:
         raise CertificateError("the radial density is not real")
-    return density_quadrature_certificate(group, lambda th: dens(th).real, Q=Q)
+    return _density_certificate(group, h.real, w, pi)
 
 
 # ---------------------------------------------------------------------------
@@ -891,7 +931,7 @@ def compute_bracket(group, phi, d: int, ball, certificate=None,
     elif d == 1 and isinstance(phi, Multiplier) and phi.kind in ("finite", "radial"):
         upper, upper_prov = phi.sup_abs(), "sup-exact"
 
-    if lower > upper + 1e-9:
+    if lower > upper + 1e-9 * max(1.0, abs(upper)):
         flags.append("bracket-inverted")
     name = phi_id or (phi.name if isinstance(phi, Multiplier) else "phi")
     return NormBracket(phi_id=name, d=d, window_radius=ball.radius,

@@ -122,6 +122,36 @@ def indicator01_circle_integral(samples: int = 2_000_001) -> float:
     return 4.0 / math.pi
 
 
+def circle_angles_reference(n: int, Q: int) -> np.ndarray:
+    """The (Q^n, n) angle rows of the uniform Q^n grid, in C order."""
+    axes = [2.0 * math.pi * np.arange(Q) / Q for _ in range(n)]
+    grids = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=1)
+
+
+def circle_characters_reference(thetas: np.ndarray):
+    """pi(m) = exp(-i m.theta) on the angle rows, as a diagonal."""
+    return lambda m: np.exp(-1j * (thetas @ np.asarray(m, dtype=float)))
+
+
+def grid_trig_values_reference(items, thetas: np.ndarray) -> np.ndarray:
+    """sum_k c_k e^{i k.theta} at each angle row, one complex exp per term."""
+    vals = np.zeros(thetas.shape[0], dtype=complex)
+    for t, v in items:
+        vals += v * np.exp(1j * (thetas @ np.asarray(t, dtype=float)))
+    return vals
+
+
+def circle_quadrature_reference(items, n: int, Q: int):
+    """(xi, eta) of the circle quadrature split built term by term:
+    xi = conj(g/|g|) sqrt(w|g|), eta = sqrt(w|g|), by complex division."""
+    g = grid_trig_values_reference(items, circle_angles_reference(n, Q))
+    absg = np.abs(g)
+    root = np.sqrt(1.0 / (Q ** n) * absg)
+    phase = np.where(absg > 0, g / np.where(absg > 0, absg, 1.0), 0.0)
+    return np.conj(phase) * root, root.astype(complex)
+
+
 def gram_matrix_reference(group, phi, elements) -> np.ndarray:
     """M[i][j] = phi(s_i^-1 s_j), one product, one phi call and one array
     store per entry: the loop every gram_matrix route must match bit for bit."""

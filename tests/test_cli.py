@@ -7,6 +7,7 @@ import math
 import os
 import struct
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from mdlab.cli import SCHUR_SIZE_CAP, main
 from mdlab.groups import ZnGroup
 from mdlab.families import fejer_multiplier
-from mdlab.multipliers import read_brackets_csv
+from mdlab.multipliers import GRID_NODE_CAP, read_brackets_csv
 from mdlab.schur import write_matrix_binary
 
 from oracles import indicator01_circle_integral
@@ -227,6 +228,50 @@ class TestBracket:
         assert main(["bracket", "--group", str(group_json), "--multiplier",
                      str(phi_json), "-d", "2", "-R", "1",
                      "--out", str(tmp_path / "o")]) == 3
+        assert "resource cap" in capsys.readouterr().err
+
+    @staticmethod
+    def _z3_indicator(tmp_path):
+        group_json = tmp_path / "z3.json"
+        group_json.write_text(json.dumps({"kind": "zn", "n": 3}))
+        phi_json = tmp_path / "ind.json"
+        phi_json.write_text(json.dumps({"name": "ind", "support": [
+            [[0, 0, 0], 1.0, 0.0], [[1, 0, 0], 1.0, 0.0]]}))
+        return ["bracket", "--group", str(group_json), "--multiplier", str(phi_json),
+                "-d", "2", "-R", "1", "--out", str(tmp_path / "o")]
+
+    def test_lattice_rank_three_is_refused_before_the_fft(self, tmp_path, monkeypatch,
+                                                           capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the Z^3 symbol values were computed")
+
+        monkeypatch.setattr(np.fft, "ifftn", refuse)
+        assert main(self._z3_indicator(tmp_path)) == 3
+        assert "resource cap" in capsys.readouterr().err
+
+    def test_lattice_rank_three_refusal_allocates_little(self, tmp_path, capsys):
+        argv = self._z3_indicator(tmp_path)
+        tracemalloc.start()
+        try:
+            assert main(argv) == 3
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+        assert "resource cap" in capsys.readouterr().err
+
+    def test_radial_past_the_grid_cap_is_refused_before_any_grid(self, tmp_path, groups,
+                                                                 monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a quadrature grid was built")
+
+        monkeypatch.setattr(np.fft, "ifftn", refuse)
+        monkeypatch.setattr(np, "meshgrid", refuse)
+        coeffs = [1.0] + [0.0] * (GRID_NODE_CAP // 4)     # Q = 4L > GRID_NODE_CAP
+        phi_json = tmp_path / "long.json"
+        phi_json.write_text(json.dumps({"radial": {"coeffs_by_length": coeffs}}))
+        assert main(["bracket", "--group", groups["z"], "--multiplier", str(phi_json),
+                     "-d", "2", "-R", "1", "--out", str(tmp_path / "o")]) == 3
         assert "resource cap" in capsys.readouterr().err
 
     @pytest.mark.parametrize("body", [

@@ -21,6 +21,7 @@ from mdlab.groups import (
     ZnGroup,
     build_ball,
 )
+from mdlab import multipliers
 from mdlab.multipliers import (
     CertificateError,
     LatticeShiftCertificate,
@@ -57,7 +58,14 @@ from mdlab.multipliers import (
     write_brackets_csv,
 )
 
-from oracles import indicator01_circle_integral, schur_norm_2x2_grid
+from oracles import (
+    circle_angles_reference,
+    circle_characters_reference,
+    circle_quadrature_reference,
+    grid_trig_values_reference,
+    indicator01_circle_integral,
+    schur_norm_2x2_grid,
+)
 from strategies import json_values, multiplier_descriptions
 
 
@@ -192,6 +200,105 @@ class TestQuadratureCertificate:
         assert len(circle_quadrature_certificate(Z2, phi).xi) == 512 ** 2
 
 
+def random_support(rng, n: int, reach: int, terms: int) -> dict:
+    """Seeded complex coefficients on points of [-reach, reach]^n."""
+    return {tuple(int(c) for c in rng.integers(-reach, reach + 1, size=n)):
+            complex(*rng.normal(size=2)) for _ in range(terms)}
+
+
+class TestGridTrigValues:
+    """The one-FFT symbol values against the per-term complex exponentials."""
+
+    @pytest.mark.parametrize("n,Q", [(1, 8), (1, 7), (2, 6), (2, 5), (3, 4)])
+    def test_matches_the_per_term_sum_even_when_terms_share_a_bin(self, n, Q):
+        rng = np.random.default_rng(10 * n + Q)
+        for _ in range(5):
+            support = random_support(rng, n, reach=2 * Q, terms=8)
+            k = next(iter(support))
+            shifted = (k[0] + Q,) + k[1:]        # bin k mod Q taken twice
+            support[shifted] = support.get(shifted, 0) + 0.5 - 0.25j
+            items = sorted(support.items())
+            got = multipliers._grid_trig_values(items, n, Q)
+            want = grid_trig_values_reference(items, circle_angles_reference(n, Q))
+            scale = sum(abs(v) for _, v in items)
+            assert got.shape == (Q ** n,)
+            assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("group,Q,reach", [(Z, 512, 6), (Z, 16, 7), (Z2, 512, 2),
+                                               (Z2, 24, 5)])
+    def test_prices_agree_with_the_per_term_build_within_4_ulp(self, group, Q, reach):
+        rng = np.random.default_rng(Q + group.n)
+        for _ in range(3):
+            phi = Multiplier.finite(group, random_support(rng, group.n, reach, 5))
+            cert = circle_quadrature_certificate(group, phi, Q=Q)
+            xi, eta = circle_quadrature_reference(phi.support_items(), group.n, Q)
+            want = float(np.linalg.norm(xi) * np.linalg.norm(eta))
+            assert len(cert.xi) == Q ** group.n
+            assert abs(cert.bound(2) - want) <= 4 * np.spacing(want)
+            assert np.max(np.abs(cert.xi - xi)) <= 1e-14 * np.max(np.abs(xi))
+
+    @pytest.mark.parametrize("group,Q", [(Z, 16), (Z2, 12)])
+    def test_characters_keep_their_bits(self, group, Q):
+        pi_ref = circle_characters_reference(circle_angles_reference(group.n, Q))
+        phi = Multiplier.finite(group, {(0,) * group.n: 1.0, (1,) * group.n: 0.5j})
+        dens = lambda th: 2.0 + np.cos(th[:, 0])
+        for cert in (circle_quadrature_certificate(group, phi, Q=Q),
+                     density_quadrature_certificate(group, dens, Q=Q)):
+            for m in [(0,) * group.n, (1,) * group.n, (3, -2)[:group.n], (-7,) * group.n]:
+                assert np.array_equal(cert.pi(m), pi_ref(m))
+
+    def test_density_route_residuals_keep_their_bits(self):
+        r = 0.8
+        dens = lambda th: (1 - r * r) / (1 - 2 * r * np.cos(th[:, 0]) + r * r)
+        phi = Multiplier.from_callable(Z, lambda m: r ** abs(m[0]))
+        elements = [(m,) for m in range(-6, 7)]
+        thetas = circle_angles_reference(1, 64)
+        root = np.sqrt(1.0 / 64 * dens(thetas)).astype(complex)
+        ref = MatrixRepCertificate(group=Z, pi=circle_characters_reference(thetas),
+                                   xi=root.copy(), eta=root, pi_norm=1.0,
+                                   pi_provenance="unitary", kind="density")
+        cert = density_quadrature_certificate(Z, dens, Q=64)
+        assert cert.bound(2) == ref.bound(2)
+        for d in (1, 2):
+            got = verify_certificate(phi, cert, elements, d=d)
+            want = verify_certificate(phi, ref, elements, d=d)
+            assert got.max_residual == want.max_residual
+            assert got.checked == want.checked
+
+    def test_circle_route_residuals_match_the_per_term_build(self):
+        phi = Multiplier.finite(Z2, {(0, 0): 1.0, (1, -1): 0.5, (0, 2): -0.25j})
+        xi, eta = circle_quadrature_reference(phi.support_items(), 2, 16)
+        ref = MatrixRepCertificate(
+            group=Z2, pi=circle_characters_reference(circle_angles_reference(2, 16)),
+            xi=xi, eta=eta, pi_norm=1.0, pi_provenance="unitary", kind="quadrature")
+        cert = circle_quadrature_certificate(Z2, phi, Q=16)
+        elements = [(i, j) for i in range(-2, 3) for j in range(-2, 3)]
+        got = verify_certificate(phi, cert, elements, d=2)
+        want = verify_certificate(phi, ref, elements, d=2)
+        assert got.max_residual < 1e-14 and want.max_residual < 1e-14
+        assert abs(got.max_residual - want.max_residual) < 1e-15
+
+    def test_radial_route_evaluates_the_density_once(self, monkeypatch):
+        calls = []
+        real = multipliers._grid_trig_values
+
+        def counted(items, n, Q):
+            calls.append((len(items), n, Q))
+            return real(items, n, Q)
+
+        monkeypatch.setattr(multipliers, "_grid_trig_values", counted)
+        coeffs = [1.0, 0.3, 0.1, 0.05j]
+        cert = radial_density_certificate(Z, Multiplier.radial(Z, [1.0, 0.3, 0.1]))
+        assert calls == [(5, 1, 64)]
+        with pytest.raises(CertificateError):
+            radial_density_certificate(Z, Multiplier.radial(Z, coeffs))
+        assert calls == [(5, 1, 64), (7, 1, 64)]
+        thetas = circle_angles_reference(1, 64)
+        h = radial_circle_density([1.0, 0.3, 0.1])(thetas).real
+        want = float(np.linalg.norm(np.sqrt(1.0 / 64 * h)) ** 2)
+        assert abs(cert.bound(2) - want) <= 4 * np.spacing(want)
+
+
 class TestDensityCertificate:
     def test_poisson(self):
         r = 0.9
@@ -224,6 +331,13 @@ class TestDensityCertificate:
         assert cert.bound(2) == pytest.approx(1.0, abs=1e-14)
         fejer = Multiplier.radial(Z, [1.0 - ell / 20 for ell in range(20)])
         assert len(radial_density_certificate(Z, fejer, quad_factor=8).xi) == 160
+
+    def test_real_coefficients_at_scale_keep_their_certificate(self):
+        # the FFT leaves rounding of order 1e-13 * sum |c_l| in the imaginary
+        # part; with real coefficients that is not a complex density
+        phi = Multiplier.radial(Z, [1e6 * 0.9 ** ell for ell in range(50)])
+        cert = radial_density_certificate(Z, phi)
+        assert cert.bound(2) == pytest.approx(1e6, rel=1e-12)
 
     @pytest.mark.parametrize("group,coeffs", [
         (Z, [1.0, 0.1j]),           # complex density
@@ -546,6 +660,27 @@ class TestBrackets:
         br = compute_bracket(Z, phi, 2, build_ball(Z, 20))
         assert br == NormBracket("cplx", 2, 20, 1.0, math.inf, "sup-exact", "none",
                                  ("window-too-large-for-sdp",))
+
+    def test_inversion_slack_scales_with_the_upper(self):
+        # the density price of 1e300 + 2cos(theta) lands an ulp or so under
+        # the exact sup 1e300: rounding, not an inverted bracket
+        phi = Multiplier.radial(Z, [1e300, 1.0])
+        cert = radial_density_certificate(Z, phi)
+        br = compute_bracket(Z, phi, 2, build_ball(Z, 1), certificate=cert)
+        assert br.lower == 1e300
+        assert "bracket-inverted" not in br.flags
+
+    def test_certificate_priced_under_the_sup_is_flagged(self):
+        phi = indicator01()
+        for scale in (1.0, 1e100):
+            big = Multiplier.finite(Z, {(0,): scale, (1,): scale})
+            br = compute_bracket(Z, big, 1, build_ball(Z, 1),
+                                 certificate=constant_certificate(Z, 0.999 * scale))
+            assert br.upper == pytest.approx(0.999 * scale)
+            assert "bracket-inverted" in br.flags
+        br = compute_bracket(Z, phi, 2, build_ball(Z, 2),
+                             certificate=constant_certificate(Z, 1.0))
+        assert "bracket-inverted" in br.flags
 
     def test_radial_sup_on_a_finite_group_stops_at_the_diameter(self):
         # Z/3 over {1, 2} has diameter 1: the coefficient 9 at length 2 is
