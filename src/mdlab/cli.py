@@ -216,6 +216,20 @@ def cmd_bracket(args, cfg: RunConfig) -> int:
     return 0
 
 
+def _write_convergence(args, cfg: RunConfig, group, rows, labels, C: float,
+                       window, filename: str) -> int:
+    """Audit the rows (convergence_report) and write the CSV to args.out."""
+    report = convergence_report(group, args.d, rows, labels, C=C,
+                                window_radius=cfg.window_radius,
+                                success_residual=cfg.success_residual,
+                                ball=window)
+    path = os.path.join(args.out, filename)
+    _atomic_write(path, lambda fh: write_convergence_csv(
+        fh, report, header_lines=[cfg.header_line(), f"# group={group.kind}"]))
+    print(f"wrote {path} ({'SUCCESS' if report.success else 'INCOMPLETE'})")
+    return 0
+
+
 def cmd_fejer(args, cfg: RunConfig) -> int:
     group = _load_group_arg(args, default={"kind": "zn", "n": 1})
     pairs_nr = _grid(args.n_list, args.r_list)
@@ -238,18 +252,13 @@ def cmd_fejer(args, cfg: RunConfig) -> int:
         raise MultiplierError(
             f"no certified smoothing route on group kind {group.kind!r}; "
             "use Z or a free group")
-    report = convergence_report(group, args.d, rows, pairs_nr, C=args.bound,
-                                window_radius=cfg.window_radius,
-                                success_residual=cfg.success_residual,
-                                ball=window)
-    path = os.path.join(args.out, "fejer_convergence.csv")
-    _atomic_write(path, lambda fh: write_convergence_csv(
-        fh, report, header_lines=[cfg.header_line(), f"# group={group.kind}"]))
-    print(f"wrote {path} ({'SUCCESS' if report.success else 'INCOMPLETE'})")
-    return 0
+    return _write_convergence(args, cfg, group, rows, pairs_nr, args.bound, window,
+                              "fejer_convergence.csv")
 
 
 def cmd_extension(args, cfg: RunConfig) -> int:
+    if any(k < 0 for k in args.k_list):
+        raise MultiplierError("tent parameter k must be >= 0")
     group = _load_group_arg(args, default={"kind": "sl2z_semidirect"})
     if not hasattr(group, "quotient"):
         raise GroupError(
@@ -277,15 +286,8 @@ def cmd_extension(args, cfg: RunConfig) -> int:
         rows.append((phi, bracket))
         labels.append((k, 1))
     # no uniform constant is certified along this route; residuals are the point
-    report = convergence_report(group, args.d, rows, labels, C=math.inf,
-                                window_radius=cfg.window_radius,
-                                success_residual=cfg.success_residual,
-                                ball=window)
-    path = os.path.join(args.out, "extension_convergence.csv")
-    _atomic_write(path, lambda fh: write_convergence_csv(
-        fh, report, header_lines=[cfg.header_line(), f"# group={group.kind}"]))
-    print(f"wrote {path} ({'SUCCESS' if report.success else 'INCOMPLETE'})")
-    return 0
+    return _write_convergence(args, cfg, group, rows, labels, math.inf, window,
+                              "extension_convergence.csv")
 
 
 def cmd_report(args, cfg: RunConfig) -> int:

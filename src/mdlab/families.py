@@ -204,9 +204,10 @@ def fejer_bracket(group: ZnGroup, N: int, r: float, d: int, ball: Ball, *,
     """
     if not (isinstance(group, ZnGroup) and group.n == 1):
         raise MultiplierError("the density certificate route needs the group Z")
-    phi = fejer_multiplier(group, N, r)
+    # the certificate checks the grid cap before the N + 1 coefficients exist
     Q = max(quad_factor * (N + 1), 16)
     cert = density_quadrature_certificate(group, fejer_poisson_density(N, r), Q=Q)
+    phi = fejer_multiplier(group, N, r)
     bracket = compute_bracket(group, phi, d, ball, certificate=cert,
                               sdp_tol=sdp_tol, sdp_max_iter=sdp_max_iter)
     return phi, bracket
@@ -295,8 +296,7 @@ class _SweepLayout(NamedTuple):
 
     At the parameter with values (vals, inv) = TreeFamily._values(z), slot k
     of M holds vals[pos[k]] * inv[kind[k]], plus vals[pos2[i]] * inv[kind2[i]]
-    for the i-th slot k = two[i] that sums two entries.  M* holds the
-    conjugated slots in the order tperm, under hptr and hindices.
+    for the i-th slot k = two[i] that sums two entries.
     """
 
     entries: int            # unsummed entries, the unit CHUNK_NNZ counts
@@ -310,9 +310,6 @@ class _SweepLayout(NamedTuple):
     kind2: np.ndarray
     indptr: np.ndarray
     indices: np.ndarray
-    tperm: np.ndarray
-    hptr: np.ndarray
-    hindices: np.ndarray
 
 
 class TreeFamily:
@@ -437,19 +434,18 @@ class TreeFamily:
         vals = np.where(self._v_base, zpow[self._v_exps], c * zpow[self._v_exps])
         return vals, np.array([1.0, 1.0 / c, -z / c], dtype=complex)
 
-    def _pair(self, z: complex):
-        """Sparse (V, V^-1) at the parameter z; both are exact by pattern."""
-        vals, table = self._values(z)
+    def _pair(self, vals: np.ndarray, table: np.ndarray):
+        """Sparse (V, V^-1) from _values(z); both are exact by pattern."""
         n = len(self.ball)
         V = sp.csr_matrix((vals, (self._v_rows, self._v_cols)), shape=(n, n))
         Vinv = sp.csc_matrix((table[self._iv_kind], (self._iv_rows, self._iv_cols)),
                              shape=(n, n))
         return V, Vinv
 
-    def point(self, z: complex, *, check: bool = True, tol: float = 1e-8) -> "TreeFamilyPoint":
+    def point(self, z: complex, *, check: bool = True) -> "TreeFamilyPoint":
         pt = TreeFamilyPoint(self, complex(z))
         if check:
-            pt.run_contract_checks(tol)
+            pt.run_contract_checks()
         return pt
 
     # -- empirical operator-norm sweep -----------------------------------------
@@ -505,17 +501,11 @@ class TreeFamily:
         slot_reach = reach[first]
         new_row = np.concatenate([[True], slot_reach[1:] != slot_reach[:-1]])
         indptr = np.append(np.flatnonzero(new_row), first.size)
-        slot_row = np.cumsum(new_row) - 1
-        indices = word[first] * m + cols[first]
-        # M* in CSR: the conjugated slots in column-major order
-        tperm = np.argsort(indices, kind="stable")
-        hptr = np.concatenate([[0], np.cumsum(np.bincount(indices, minlength=K * m))])
         return _SweepLayout(
             entries=word.size, words=K, cols=m, rows=indptr.size - 1,
             pos=pos[first], kind=kind[first], two=two,
             pos2=pos[second], kind2=kind[second],
-            indptr=indptr, indices=indices, tperm=tperm,
-            hptr=hptr, hindices=slot_row[tperm])
+            indptr=indptr, indices=word[first] * m + cols[first])
 
     def _lower_norms(self, layout: _SweepLayout, vals: np.ndarray,
                      inv: np.ndarray) -> np.ndarray:
@@ -540,10 +530,7 @@ class TreeFamily:
             (data.ravel(), (layout.indices + off * (K * m)).ravel(),
              np.append((layout.indptr[:-1] + off * nnz).ravel(), g * nnz)),
             shape=(g * nrows, g * K * m))
-        Mh = sp.csr_matrix(
-            (data.conj()[:, layout.tperm].ravel(), (layout.hindices + off * nrows).ravel(),
-             np.append((layout.hptr[:-1] + off * nnz).ravel(), g * nnz)),
-            shape=(g * K * m, g * nrows))
+        Mh = M.conj().T
         blocks = g * K
         x = np.full(blocks * m, 1.0 / math.sqrt(m))
         lam = np.zeros(blocks)
@@ -597,7 +584,7 @@ class TreeFamily:
         self.group.validate(t)
         if len(t) > self.radius:
             raise FamilyError(f"word of length {len(t)} does not fit in radius {self.radius}")
-        V, Vinv = self._pair(z)
+        V, Vinv = self._pair(*self._values(z))
         n = len(self.ball)
         w = np.zeros(n, dtype=complex)
         w[0] = 1.0
@@ -652,8 +639,8 @@ class TreeFamilyPoint:
         self.family = family
         self.z = complex(z)
         self.radius = family.radius
-        self.V, self.Vinv = family._pair(z)
         self._vals, self._inv = family._values(z)
+        self.V, self.Vinv = family._pair(self._vals, self._inv)
         self._pi_cache: dict = {}
         self._bound: float | None = None
         self._zpow = np.array([power_coefficient(self.z, k)
@@ -672,20 +659,9 @@ class TreeFamilyPoint:
             self._pi_cache[s] = (self.V @ shifted).tocsr()
         return self._pi_cache[s]
 
-    def apply(self, t, vec: np.ndarray) -> np.ndarray:
-        """Chain the generator matrices of the word t onto a vector."""
-        self.family.group.validate(t)
-        w = np.asarray(vec, dtype=complex)
-        for letter in reversed(t):
-            w = self.pi_matrix((letter,)) @ w
-        return w
-
     def coefficient(self, t) -> complex:
-        """Basepoint matrix coefficient of the word t via the generator chain."""
-        n = len(self.family.ball)
-        e0 = np.zeros(n, dtype=complex)
-        e0[0] = 1.0
-        return complex(self.apply(t, e0)[0])
+        """Basepoint matrix coefficient of the word t (TreeFamily.coefficient_path)."""
+        return self.family.coefficient_path(self.z, t)
 
     def _interior_count(self, depth: int) -> int:
         return sum(self.family.ball.sphere_sizes[:max(depth, 0) + 1])
@@ -772,17 +748,13 @@ class TreeFamilyPoint:
             self._bound = float(self.family.empirical_bounds([self.z])[0])
         return self._bound
 
-    def cr_residual(self, t, h: float = 1e-3) -> float:
-        return self.family.holomorphy_residual(t, self.z, h)
-
     # -- contract bundle -------------------------------------------------------
 
-    def contract_checks(self, h: float | None = None) -> dict:
+    def contract_checks(self) -> dict:
         """All residuals in one dict; enforcement lives in run_contract_checks."""
         ball = self.family.ball
         probe = ball.sphere(3)[0]  # first length-3 word: third derivative is 6 z^0
-        if h is None:
-            h = min(1e-3, (1.0 - abs(self.z)) / 8.0)
+        h = min(1e-3, (1.0 - abs(self.z)) / 8.0)
         return {
             "coefficient_residual": self.coefficient_residual(),
             "unitarity_residual": self.unitarity_residual(),
@@ -810,8 +782,9 @@ class TreeFamilyPoint:
         return checks
 
 
-def family_report(point: TreeFamilyPoint, h: float = 1e-3) -> dict:
-    """Flat JSON-ready summary of one family point's residuals and bound."""
+def family_report(point: TreeFamilyPoint) -> dict:
+    """Flat JSON-ready summary of one family point's residuals and bound;
+    the Cauchy-Riemann residual is taken at step 1e-3."""
     ball = point.family.ball
     probe = ball.sphere(3)[0]
     return {
@@ -819,7 +792,7 @@ def family_report(point: TreeFamilyPoint, h: float = 1e-3) -> dict:
         "R": point.radius,
         "unitarity_residual": point.unitarity_residual(),
         "coefficient_residual": point.coefficient_residual(),
-        "cr_residual": point.cr_residual(probe, h),
+        "cr_residual": point.family.holomorphy_residual(probe, point.z, 1e-3),
         "empirical_bound": point.empirical_bound(),
     }
 
@@ -858,17 +831,16 @@ def averaged_family_bound(family: TreeFamily, N: int, r: float, d: int, *,
 
 
 def fejer_bracket_tree(family: TreeFamily, N: int, r: float, d: int, *,
-                       quad_factor: int = 4, sdp_ball: Ball | None = None,
-                       sdp_tol: float = 1e-8, sdp_max_iter: int = 100):
+                       quad_factor: int = 4, sdp_tol: float = 1e-8,
+                       sdp_max_iter: int = 100):
     """Multiplier plus bracket on the free group; empirical upper route.
 
-    Lower bounds come from the certified window machinery; the upper bound
-    averages empirical family bounds and is flagged as such.  Returns
-    (multiplier, bracket).
+    Lower bounds come from the certified window machinery on the radius-2
+    ball; the upper bound averages empirical family bounds and is flagged
+    as such.  Returns (multiplier, bracket).
     """
     phi = fejer_multiplier(family.group, N, r)
-    ball = sdp_ball if sdp_ball is not None else build_ball(family.group,
-                                                            min(2, family.radius))
+    ball = build_ball(family.group, 2)
     base = compute_bracket(family.group, phi, d, ball, certificate=None,
                            sdp_tol=sdp_tol, sdp_max_iter=sdp_max_iter)
     upper, uflags = averaged_family_bound(family, N, r, d, quad_factor=quad_factor)

@@ -10,11 +10,12 @@ Word length is the canonical-form length where one exists (freely reduced
 word length on F_k, the L1 norm on Z^n) and breadth-first distance in the
 Cayley graph over the fixed symmetric generating set otherwise.  Matrix
 entries grow fast in SL(2,Z) balls, and products are never silently
-wrapped: tuples hold Python integers, exact at every size, and the array
-kernel shared by SL(2,Z) and the semidirect product works in int64 only
-where a bound on its inputs' largest entry, checked before the multiply,
-proves that no entry or sort code can overflow; otherwise its arrays hold
-Python integers (object dtype).
+wrapped: tuples hold Python integers, exact at every size.  SL(2,Z) and the
+semidirect product share one group law, applied alike to the Python ints of
+one element and to the integer arrays of many.  The arrays are int64 only
+where a bound on the inputs' largest entry, checked before the multiply,
+proves that no entry or sort code can overflow; otherwise they hold Python
+integers (object dtype).
 
 Balls are enumerated sphere by sphere, each sphere sorted in the
 realization's canonical order.  The resulting index map is the contract that
@@ -66,8 +67,10 @@ class GroupRealization:
 
     Subclasses must provide: kind, identity, generators(), multiply(),
     inverse(), sort_key(), element_to_string(), element_to_json(),
-    element_from_json(), validate().  Generating sets are symmetric (closed
-    under inverses) and never contain the identity.
+    element_from_json(), validate(), and pair_lengths(elements, horizon),
+    the matrix of word lengths |s_i^-1 s_j| that gram_matrix reads radial
+    multipliers through (there is no generic fallback).  Generating sets are
+    symmetric (closed under inverses) and never contain the identity.
     """
 
     kind: str = "?"
@@ -483,19 +486,27 @@ class FiniteGroup(GroupRealization):
 _SL2_ID = ((1, 0), (0, 1))
 
 
-def _sl2_mul(x, y):
-    (a, b), (c, d) = x
-    (p, q), (r, s) = y
-    return ((a * p + b * r, a * q + b * s), (c * p + d * r, c * q + d * s))
+# The group law of SL(2,Z) x| Z^2 on the components (a, b, c, d, v0, v1) of
+# ([[a, b], [c, d]], v), v = 0 on SL(2,Z): Python ints, or broadcast arrays.
+
+def _law_product(x, y) -> tuple:
+    """(A,v)(B,w) = (AB, v + A.w); entries bounded by X and Y give X (2Y + 1)."""
+    a, b, c, d, v0, v1 = x
+    p, q, r, s, w0, w1 = y
+    return (a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s,
+            v0 + a * w0 + b * w1, v1 + c * w0 + d * w1)
 
 
-def _sl2_inv(x):
-    (a, b), (c, d) = x
-    return ((d, -b), (-c, a))
+def _law_inverse(x) -> tuple:
+    """(A,v)^-1 = (A^-1, -A^-1 v); entries bounded by X give 2X^2."""
+    a, b, c, d, v0, v1 = x
+    return (d, -b, -c, a, b * v1 - d * v0, c * v0 - a * v1)
 
 
-# The integer kernel shared by SL(2,Z) and SL(2,Z) x| Z^2: an element is the
-# row (a, b, c, d, v0, v1) of ([[a, b], [c, d]], v), with v = 0 on SL(2,Z).
+def _on_rows(law, *rows: np.ndarray) -> np.ndarray:
+    """A law above applied to row arrays, broadcast over their leading axes."""
+    return np.stack(law(*(np.moveaxis(x, -1, 0) for x in rows)), axis=-1)
+
 
 _INT64_MAX = 2 ** 63 - 1
 
@@ -510,23 +521,6 @@ def _bound(rows: np.ndarray) -> int:
     return int(np.abs(rows).max(initial=0))
 
 
-def _row_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Rows of (A,v)(B,w) = (AB, v + A.w), broadcast over the leading axes.
-
-    Entries bounded by X and Y give entries bounded by X (2Y + 1).
-    """
-    a, b, c, d, v0, v1 = np.moveaxis(x, -1, 0)
-    p, q, r, s, w0, w1 = np.moveaxis(y, -1, 0)
-    return np.stack([a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s,
-                     v0 + a * w0 + b * w1, v1 + c * w0 + d * w1], axis=-1)
-
-
-def _row_inverse(x: np.ndarray) -> np.ndarray:
-    """Rows of (A,v)^-1 = (A^-1, -A^-1 v); entries bounded by X give 2X^2."""
-    a, b, c, d, v0, v1 = np.moveaxis(x, -1, 0)
-    return np.stack([d, -b, -c, a, b * v1 - d * v0, c * v0 - a * v1], axis=-1)
-
-
 def _codes(rows: np.ndarray, M: int) -> np.ndarray:
     """One integer per row with entries in [-M, M], ordered as the rows are
     lexicographically: the digits of the row in base 2M + 1."""
@@ -539,13 +533,14 @@ def _codes(rows: np.ndarray, M: int) -> np.ndarray:
 
 
 class _SL2Rows(GroupRealization):
-    """BFS and pair word lengths on integer rows, for SL(2,Z) and its
-    semidirect product with Z^2.
+    """Group law, BFS and pair word lengths on integer rows, for SL(2,Z) and
+    its semidirect product with Z^2.
 
-    The explored ball is one row array per sphere, each sorted
-    lexicographically, which is the realizations' sort_key order.  The tuple
-    views _layers and _lengths are made sphere by sphere, only as far as
-    build_ball or word_length reads them.
+    multiply and inverse apply the law to an element's row of Python ints,
+    _to_row(element), and sort_key is that row, so the explored ball, one
+    row array per sphere, each sorted lexicographically, is in sort_key
+    order.  The tuple views _layers and _lengths are made sphere by sphere,
+    only as far as build_ball or word_length reads them.
     """
 
     def __init__(self) -> None:
@@ -557,8 +552,17 @@ class _SL2Rows(GroupRealization):
     def _to_row(self, a) -> tuple:
         raise NotImplementedError
 
-    def _from_row(self, row: list):
+    def _from_row(self, row):
         raise NotImplementedError
+
+    def multiply(self, a, b):
+        return self._from_row(_law_product(self._to_row(a), self._to_row(b)))
+
+    def inverse(self, a):
+        return self._from_row(_law_inverse(self._to_row(a)))
+
+    def sort_key(self, a):
+        return self._to_row(a)
 
     def _explored_radius(self) -> int:
         return len(self._spheres) - 1
@@ -568,7 +572,7 @@ class _SL2Rows(GroupRealization):
         frontier, gens = spheres[-1], self._generator_rows
         if 3 * _bound(frontier) > _INT64_MAX:
             frontier, gens = frontier.astype(object), gens.astype(object)
-        candidates = _row_product(frontier[:, None], gens[None, :]).reshape(-1, 6)
+        candidates = _on_rows(_law_product, frontier[:, None], gens[None, :]).reshape(-1, 6)
         # a neighbour of sphere r lies in sphere r - 1, r or r + 1
         old = spheres[-2:]
         M = max(_bound(candidates), *map(_bound, old))
@@ -601,7 +605,8 @@ class _SL2Rows(GroupRealization):
         X = max((abs(x) for row in rows for x in row), default=0)
         # |s^-1| <= 2X^2 entrywise, so |s^-1 t| <= 2X^2 (2X + 1)
         S = np.array(rows, dtype=_exact_dtype(2 * X * X * (2 * X + 1))).reshape(n, 6)
-        products = _row_product(_row_inverse(S)[:, None], S[None, :]).reshape(n * n, 6)
+        products = _on_rows(_law_product, _on_rows(_law_inverse, S)[:, None],
+                            S[None, :]).reshape(n * n, 6)
         M = _bound(products)
         codes, slots = np.unique(_codes(products, M), return_inverse=True)
         return self._code_lengths(codes, M, horizon)[slots].reshape(n, n)
@@ -643,21 +648,12 @@ class SL2Z(_SL2Rows):
         return _SL2_ID
 
     def generators(self) -> list:
-        return [self.T, _sl2_inv(self.T), self.S, _sl2_inv(self.S)]
-
-    def multiply(self, a, b):
-        return _sl2_mul(a, b)
-
-    def inverse(self, a):
-        return _sl2_inv(a)
-
-    def sort_key(self, a):
-        return a[0] + a[1]
+        return [self.T, self.inverse(self.T), self.S, self.inverse(self.S)]
 
     def _to_row(self, a) -> tuple:
         return a[0] + a[1] + (0, 0)
 
-    def _from_row(self, row: list):
+    def _from_row(self, row):
         return ((row[0], row[1]), (row[2], row[3]))
 
     def validate(self, a) -> None:
@@ -710,25 +706,10 @@ class SL2ZSemidirect(_SL2Rows):
         out += [(_SL2_ID, v) for v in ((1, 0), (-1, 0), (0, 1), (0, -1))]
         return out
 
-    def multiply(self, a, b):
-        (A, v), (B, w) = a, b
-        Aw = (A[0][0] * w[0] + A[0][1] * w[1], A[1][0] * w[0] + A[1][1] * w[1])
-        return (_sl2_mul(A, B), (v[0] + Aw[0], v[1] + Aw[1]))
-
-    def inverse(self, a):
-        A, v = a
-        Ainv = _sl2_inv(A)
-        w = (Ainv[0][0] * v[0] + Ainv[0][1] * v[1], Ainv[1][0] * v[0] + Ainv[1][1] * v[1])
-        return (Ainv, (-w[0], -w[1]))
-
-    def sort_key(self, a):
-        A, v = a
-        return (A[0] + A[1], v)
-
     def _to_row(self, a) -> tuple:
         return a[0][0] + a[0][1] + a[1]
 
-    def _from_row(self, row: list):
+    def _from_row(self, row):
         return (((row[0], row[1]), (row[2], row[3])), (row[4], row[5]))
 
     def validate(self, a) -> None:

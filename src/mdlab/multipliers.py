@@ -49,7 +49,7 @@ __all__ = [
     "MatrixRepCertificate", "LatticeShiftCertificate", "CertificateReport",
     "certificate_from_unitary_rep", "certificate_from_bounded_rep",
     "circle_quadrature_certificate", "density_quadrature_certificate",
-    "radial_circle_density", "radial_density_certificate",
+    "radial_density_certificate",
     "constant_certificate",
     "folner_tent_value", "folner_multiplier", "folner_certificate",
     "folner_approximants",
@@ -255,6 +255,27 @@ def sup_abs_window(phi: Callable, elements) -> float:
 # certificates
 # ---------------------------------------------------------------------------
 
+# norms at or above this have squares in the normal float range
+_SQUARE_SAFE = math.sqrt(np.finfo(float).tiny)
+
+
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of v, also where its squares overflow or underflow.
+
+    np.linalg.norm squares the entries, so past ~1.3e154 it returns inf and
+    below ~1.5e-154 it loses digits or returns 0; there the norm is taken of
+    v scaled by its largest modulus instead.
+    """
+    with np.errstate(over="ignore", under="ignore"):
+        norm = float(np.linalg.norm(v))
+    if _SQUARE_SAFE <= norm < math.inf:
+        return norm
+    scale = float(np.max(np.abs(v), initial=0.0))
+    if scale == 0.0:
+        return 0.0
+    return scale * float(np.linalg.norm(v / scale))
+
+
 def _apply(mat, vec):
     """Matrix-vector product where a 1-d mat means a diagonal operator."""
     if mat.ndim == 1:
@@ -295,8 +316,7 @@ class MatrixRepCertificate:
     def bound(self, d: int) -> float:
         if d < 1:
             raise ValueError("order d must be >= 1")
-        return (self.pi_norm ** d) * float(np.linalg.norm(self.xi)
-                                           * np.linalg.norm(self.eta))
+        return (self.pi_norm ** d) * (_norm(self.xi) * _norm(self.eta))
 
     def provenance(self, d: int) -> str:
         tag = f"{self.kind}:{self.pi_provenance}:d={d}"
@@ -367,14 +387,15 @@ def _sample_elements(group, elements, rng, count):
     return [elements[i] for i in idx]
 
 
-def _checked_rep(group, pi, elements, rep_tol, *, isometries: bool):
+def _checked_rep(group, pi, elements, *, isometries: bool):
     """pi as a full-matrix map, after checking it on a seeded sample.
 
     Checks pi(e) = I, then (with isometries) pi(t)* pi(t) = I on up to 40
     sampled elements, then pi(s)pi(t) = pi(st) on the first 12 x 12 pairs
-    of the sample, each to rep_tol in the operator norm; CertificateError
+    of the sample, each to 1e-12 in the operator norm; CertificateError
     names the first failure.
     """
+    rep_tol = 1e-12
     sample = _sample_elements(group, elements, np.random.default_rng(0), 40)
 
     def as_matrix(t):
@@ -400,35 +421,35 @@ def _checked_rep(group, pi, elements, rep_tol, *, isometries: bool):
     return as_matrix
 
 
-def certificate_from_unitary_rep(group, pi, xi, eta, elements, rep_tol=1e-12,
+def certificate_from_unitary_rep(group, pi, xi, eta, elements,
                                  window_member=None) -> MatrixRepCertificate:
     """Wrap a representation after checking it actually is one.
 
     Verifies pi(e) = I, pi(s)pi(t) = pi(st), and pi(t)* pi(t) = I on the
     given elements (all pairs when small, a seeded sample otherwise), to
-    rep_tol in the operator norm.  Raises CertificateError on failure, so a
+    1e-12 in the operator norm.  Raises CertificateError on failure, so a
     certificate of this kind never silently carries a broken pi.
     """
     xi = np.asarray(xi, dtype=complex).ravel()
     eta = np.asarray(eta, dtype=complex).ravel()
-    _checked_rep(group, pi, list(elements), rep_tol, isometries=True)
+    _checked_rep(group, pi, list(elements), isometries=True)
     return MatrixRepCertificate(group=group, pi=pi, xi=xi, eta=eta,
                                 pi_norm=1.0, pi_provenance="unitary",
                                 window_member=window_member)
 
 
-def certificate_from_bounded_rep(group, pi, xi, eta, elements, rep_tol=1e-12,
+def certificate_from_bounded_rep(group, pi, xi, eta, elements,
                                  window_member=None) -> MatrixRepCertificate:
     """Same wrapping for a uniformly bounded (not unitary) pi.
 
-    Multiplicativity is still required to rep_tol; sup |pi| is estimated as
+    Multiplicativity is still required to 1e-12; sup |pi| is estimated as
     the maximum operator norm over the supplied elements only, so it is a
     sample of the true sup and the certificate says so in its provenance.
     """
     xi = np.asarray(xi, dtype=complex).ravel()
     eta = np.asarray(eta, dtype=complex).ravel()
     elements = list(elements)
-    as_matrix = _checked_rep(group, pi, elements, rep_tol, isometries=False)
+    as_matrix = _checked_rep(group, pi, elements, isometries=False)
     pi_norm = max(float(np.linalg.norm(as_matrix(t), 2)) for t in elements)
     pi_norm = max(pi_norm, 1.0)  # pi(e) = I already forces sup >= 1
     return MatrixRepCertificate(group=group, pi=pi, xi=xi, eta=eta,
@@ -569,34 +590,13 @@ def density_quadrature_certificate(group: ZnGroup, density: Callable,
     return _density_certificate(group, h, w, pi)
 
 
-def radial_circle_density(coeffs) -> Callable:
-    """Circle density of a radial multiplier on Z: c_0 + 2 sum c_l cos(l theta).
-
-    Takes a flat array of angles or the (L, 1) rows a quadrature grid
-    passes, and returns complex values.
-    """
-    c = np.asarray(coeffs, dtype=complex)
-
-    def density(thetas):
-        th = np.asarray(thetas, dtype=float)
-        if th.ndim == 2:
-            th = th[:, 0]
-        vals = np.full(th.shape, c[0])
-        for ell in range(1, len(c)):
-            vals = vals + 2.0 * c[ell] * np.cos(ell * th)
-        return vals
-
-    return density
-
-
 def radial_density_certificate(group: ZnGroup, phi: Multiplier,
                                quad_factor: int = 4) -> MatrixRepCertificate:
     """Density-route certificate for a radial phi on Z.
 
-    The density c_0 + 2 sum c_l cos(l theta) of phi.coeffs, the circle
-    density radial_circle_density describes, is evaluated once on
-    Q = max(quad_factor * len(coeffs), 64) nodes by one inverse FFT of the
-    coefficients placed at +-l.  A density that is not real on those nodes
+    The circle density c_0 + 2 sum c_l cos(l theta) of phi.coeffs is
+    evaluated once on Q = max(quad_factor * len(coeffs), 64) nodes by one
+    inverse FFT of the coefficients placed at +-l.  A density that is not real on those nodes
     (above 1e-12, checked when some coefficient is not real), or that dips
     negative, admits no certificate: CertificateError.  A grid over
     GRID_NODE_CAP nodes raises BallCapError before the values are computed.
@@ -736,18 +736,22 @@ def m2_lower_bound(group, phi: Callable, elements, tol: float = 1e-8,
     }
 
 
-def pairing(phi: Callable, g, elements=None) -> complex:
-    """Bilinear pairing sum_t phi(t) g(t) over the support of g."""
+def _pairing_items(g) -> list:
+    """The (t, g(t)) pairs of a finite Multiplier, or of a dict of scalars
+    sorted by repr."""
     if isinstance(g, Multiplier):
-        items = g.support_items()
-    elif isinstance(g, dict):
-        items = sorted(g.items(), key=repr)
-        if elements is None and not all(isinstance(v, (int, float, complex))
-                                        for _, v in items):
-            raise MultiplierError("pairing needs scalar values")
-    else:
+        return g.support_items()
+    if not isinstance(g, dict):
         raise MultiplierError("g must be a finite Multiplier or a dict")
-    return sum(complex(phi(t)) * complex(v) for t, v in items)
+    items = sorted(g.items(), key=repr)
+    if not all(isinstance(v, (int, float, complex)) for _, v in items):
+        raise MultiplierError("pairing needs scalar values")
+    return items
+
+
+def pairing(phi: Callable, g) -> complex:
+    """Bilinear pairing sum_t phi(t) g(t) over the support of g."""
+    return sum(complex(phi(t)) * complex(v) for t, v in _pairing_items(g))
 
 
 def pairing_duality_check(phi: Callable, cert: MatrixRepCertificate, g):
@@ -757,11 +761,9 @@ def pairing_duality_check(phi: Callable, cert: MatrixRepCertificate, g):
     operator norm of the g-average of pi prices the pairing.  Returns both
     sides; equality of structure, not numbers, is what is being tested.
     """
-    items = g.support_items() if isinstance(g, Multiplier) else sorted(
-        g.items(), key=repr)
-    lhs = abs(sum(complex(phi(t)) * complex(v) for t, v in items))
+    lhs = abs(pairing(phi, g))
     acc = None
-    for t, v in items:
+    for t, v in _pairing_items(g):
         M = np.asarray(cert.pi(t), dtype=complex)
         if M.ndim == 1:
             M = np.diag(M)
@@ -769,7 +771,7 @@ def pairing_duality_check(phi: Callable, cert: MatrixRepCertificate, g):
     if acc is None:
         return lhs, 0.0
     opnorm = float(np.linalg.norm(acc, 2))
-    rhs = float(np.linalg.norm(cert.xi) * np.linalg.norm(cert.eta)) * opnorm
+    rhs = _norm(cert.xi) * _norm(cert.eta) * opnorm
     return lhs, rhs
 
 

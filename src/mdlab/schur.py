@@ -107,12 +107,13 @@ def verify_witness(A: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
 
 
 def certificate_lower_bound(A: np.ndarray, mu: np.ndarray, nu: np.ndarray,
-                            R: np.ndarray, psd_tol: float = 1e-10) -> float:
+                            R: np.ndarray) -> float:
     """Evaluate a dual certificate from scratch; ValueError if infeasible.
 
     Checks mu, nu >= 0, total mass 1, and [[diag mu, R],[R*, diag nu]] >= 0
-    up to psd_tol, then returns -2 Re sum_ij A_ij conj(R_ij).
+    up to 1e-10, then returns -2 Re sum_ij A_ij conj(R_ij).
     """
+    psd_tol = 1e-10
     A = np.asarray(A)
     m, n = A.shape
     if mu.shape != (m,) or nu.shape != (n,) or R.shape != (m, n):

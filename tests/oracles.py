@@ -43,6 +43,44 @@ def bfs_sphere_sizes(identity, generators, multiply, radius: int) -> list[int]:
     return [len(s) for s in bfs_spheres(identity, generators, multiply, radius)]
 
 
+def sl2_mul_reference(x, y):
+    """Product of two SL(2,Z) elements ((a, b), (c, d)), entry by entry."""
+    (a, b), (c, d) = x
+    (p, q), (r, s) = y
+    return ((a * p + b * r, a * q + b * s), (c * p + d * r, c * q + d * s))
+
+
+def sl2_inv_reference(x):
+    (a, b), (c, d) = x
+    return ((d, -b), (-c, a))
+
+
+def semidirect_mul_reference(x, y):
+    """(A,v)(B,w) = (AB, v + A.w) on SL(2,Z) x| Z^2, entry by entry."""
+    (A, v), (B, w) = x, y
+    Aw = (A[0][0] * w[0] + A[0][1] * w[1], A[1][0] * w[0] + A[1][1] * w[1])
+    return (sl2_mul_reference(A, B), (v[0] + Aw[0], v[1] + Aw[1]))
+
+
+def semidirect_inv_reference(x):
+    """(A,v)^-1 = (A^-1, -A^-1 v)."""
+    A, v = x
+    Ainv = sl2_inv_reference(A)
+    w = (Ainv[0][0] * v[0] + Ainv[0][1] * v[1], Ainv[1][0] * v[0] + Ainv[1][1] * v[1])
+    return (Ainv, (-w[0], -w[1]))
+
+
+def sl2_sort_key_reference(x):
+    """Row-major order of the entries."""
+    return x[0] + x[1]
+
+
+def semidirect_sort_key_reference(x):
+    """Matrix entries in row-major order, then the vector."""
+    A, v = x
+    return (A[0] + A[1], v)
+
+
 def free_sphere_size(rank: int, r: int) -> int:
     """Sphere count in F_k: 1 for r=0, else 2k(2k-1)^(r-1)."""
     if r == 0:

@@ -175,6 +175,21 @@ class TestBracket:
         assert row.upper == pytest.approx(1.0, abs=1e-12)
         assert row.d == 3
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("c", [1e300, -2.5e300, 1e-160, 1e-170, 1e-200])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_constant_at_extreme_magnitude_is_priced_exactly(self, tmp_path, groups, c, d):
+        # squaring |c| in the certificate's norm overflows or underflows here
+        phi_json = tmp_path / "c.json"
+        phi_json.write_text(json.dumps({"constant": c}))
+        out = tmp_path / "o"
+        assert main(["bracket", "--group", groups["z"], "--multiplier",
+                     str(phi_json), "-d", str(d), "--out", str(out)]) == 0
+        with open(out / "brackets.csv") as fh:
+            row = read_brackets_csv(fh)[0]
+        assert row.lower == row.upper == abs(c)
+        assert row.flags == ()
+
     def test_indicator_hits_the_circle_integral(self, tmp_path, groups):
         phi_json = tmp_path / "ind.json"
         phi_json.write_text(json.dumps({"name": "ind01", "support": [
@@ -357,6 +372,22 @@ class TestFejer:
         assert main(["fejer", "--group", groups["z2"], "--N-list", "4",
                      "--r-list", "0.5", "--out", str(tmp_path)]) == 2
 
+    def test_grid_cap_is_checked_before_the_coefficients_exist(self, tmp_path, groups,
+                                                               capsys):
+        # 4 (N + 1) nodes exceed GRID_NODE_CAP; the N + 1 coefficients alone
+        # would take tens of MB
+        argv = ["fejer", "--group", groups["z"], "--N-list", str(10 ** 6),
+                "--r-list", "0.9", "--out", str(tmp_path / "o")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 3
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+        assert "resource cap" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestExtension:
     def test_residuals_decrease(self, tmp_path):
@@ -370,6 +401,13 @@ class TestExtension:
         assert residuals[0] == pytest.approx(1 / 3)
         assert residuals[-1] == pytest.approx(1 / 17)
         assert all("lower-certified" in r for r in rows[1:])
+
+    @pytest.mark.parametrize("k", ["-1", "-2"])
+    def test_negative_tent_parameter_exits_2(self, tmp_path, k, capsys):
+        out = tmp_path / "o"
+        assert main(["extension", f"--k-list=2,{k}", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: tent parameter k must be >= 0\n"
+        assert not out.exists()
 
     def test_needs_quotient_structure(self, tmp_path, groups):
         assert main(["extension", "--group", groups["z2"], "--k-list", "2",

@@ -280,7 +280,7 @@ class TestFejerBracket:
 
 class TestTreeSkeleton:
     def test_zero_parameter_degenerates_to_permutations(self):
-        V, Vinv = FAM4._pair(0.0)
+        V, Vinv = FAM4._pair(*FAM4._values(0.0))
         n = len(FAM4.ball)
         assert (V - sp.identity(n)).nnz == 0
         assert (Vinv - sp.identity(n)).nnz == 0
@@ -294,7 +294,7 @@ class TestTreeSkeleton:
         assert pt.empirical_bound() == 1.0
 
     def test_inverse_pair(self):
-        V, Vinv = FAM4._pair(0.45 + 0.25j)
+        V, Vinv = FAM4._pair(*FAM4._values(0.45 + 0.25j))
         n = len(FAM4.ball)
         err = np.abs((Vinv @ V - sp.identity(n)).toarray()).max()
         assert err < 1e-13
@@ -302,7 +302,7 @@ class TestTreeSkeleton:
     def test_bilinear_gram_identity(self):
         # <v_x, v_y> without conjugation collapses to z^(tree distance)
         z = 0.6 + 0.2j
-        V, _ = FAM4._pair(z)
+        V, _ = FAM4._pair(*FAM4._values(z))
         G = (V.T @ V).toarray()
         els = FAM4.ball.elements
         dist = np.array([[len(F2.multiply(F2.inverse(x), y)) for y in els]
@@ -334,6 +334,8 @@ class TestTreePoint:
     def test_coefficient_path_rejects_long_words(self):
         with pytest.raises(FamilyError):
             FAM4.coefficient_path(0.5, (1, 2, 1, 2, 1))
+        with pytest.raises(FamilyError):
+            FAM4.point(0.5, check=False).coefficient((1, 2, 1, 2, 1))
 
     def test_unitary_at_real_parameters(self):
         assert FAM5.point(0.5, check=False).unitarity_residual() < 1e-12
@@ -426,6 +428,13 @@ class TestBatchedSweep:
             assert b == fam.point(z, check=False).empirical_bound(), z
         # conjugate pairs sit next to each other in the grid
         assert batch[3] == batch[4] and batch[5] == batch[6] and batch[7] == batch[8]
+
+    def test_values_are_pinned_to_the_bit(self):
+        # recorded from the sweep that assembled M* as its own CSR matrix
+        zs = [0.6, 0.45 + 0.35j, 0.45 - 0.35j, 0.95 * cmath.exp(1j * math.pi / 3)]
+        assert [float(b).hex() for b in FAM4.empirical_bounds(zs)] == [
+            "0x1.0000000000000p+0", "0x1.b6c8e5b32154ep+0",
+            "0x1.b6c8e5b32154ep+0", "0x1.c109a2ded6354p+1"]
 
     def test_empty_batch(self):
         assert FAM3.empirical_bounds([]).shape == (0,)

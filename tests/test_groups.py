@@ -31,8 +31,17 @@ from mdlab.multipliers import Multiplier
 
 from strategies import GROUP_KINDS, group_descriptions, json_values, matrix_json, semidirect_json
 from oracles import (
-    bfs_sphere_sizes, bfs_spheres, free_sphere_size, gram_matrix_reference, zn_ball_size,
+    bfs_sphere_sizes, bfs_spheres, free_sphere_size, gram_matrix_reference,
+    semidirect_inv_reference, semidirect_mul_reference, semidirect_sort_key_reference,
+    sl2_inv_reference, sl2_mul_reference, sl2_sort_key_reference, zn_ball_size,
 )
+
+# the tuple group laws and sort orders the row kernel must reproduce
+SL2_REFERENCE = {
+    SL2Z: (sl2_mul_reference, sl2_inv_reference, sl2_sort_key_reference),
+    SL2ZSemidirect: (semidirect_mul_reference, semidirect_inv_reference,
+                     semidirect_sort_key_reference),
+}
 
 
 def naive_reduce(word):
@@ -236,7 +245,7 @@ class TestSL2Z:
     def test_bfs_matches_oracle(self):
         g = SL2Z()
         ball = build_ball(g, 4)
-        oracle = bfs_sphere_sizes(g.identity, g.generators(), g.multiply, 4)
+        oracle = bfs_sphere_sizes(g.identity, g.generators(), sl2_mul_reference, 4)
         assert ball.sphere_sizes == oracle
 
     def test_s_has_order_4_word_length(self):
@@ -262,8 +271,9 @@ class TestSL2Z:
 @pytest.mark.parametrize("cls,radius", [(SL2Z, 12), (SL2ZSemidirect, 6)])
 def test_matrix_balls_match_the_python_bfs_sphere_by_sphere(cls, radius):
     g = cls()
+    mul, _, key = SL2_REFERENCE[cls]
     ball = build_ball(g, radius)
-    spheres = bfs_spheres(g.identity, g.generators(), g.multiply, radius, key=g.sort_key)
+    spheres = bfs_spheres(g.identity, g.generators(), mul, radius, key=key)
     assert ball.sphere_sizes == [len(s) for s in spheres]
     for r, sphere in enumerate(spheres):
         assert ball.sphere(r) == sphere
@@ -271,6 +281,39 @@ def test_matrix_balls_match_the_python_bfs_sphere_by_sphere(cls, radius):
 
 
 sl2_words = st.lists(st.integers(0, 3), min_size=0, max_size=8)
+
+# exponents past int64, so products hold entries no int64 can
+huge = st.integers(-2 ** 70, 2 ** 70)
+
+
+@st.composite
+def sl2_elements(draw):
+    """T^a1 S T^a2 S ... T^ak, by the reference law, with a_i possibly huge."""
+    x = ((1, 0), (0, 1))
+    for a in draw(st.lists(huge | st.integers(-3, 3), min_size=1, max_size=4)):
+        x = sl2_mul_reference(sl2_mul_reference(x, ((1, a), (0, 1))), SL2Z.S)
+    return x
+
+
+@pytest.mark.parametrize("cls", [SL2Z, SL2ZSemidirect])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_group_law_matches_the_tuple_reference(cls, data):
+    g = cls()
+    mul, inv, key = SL2_REFERENCE[cls]
+    if cls is SL2Z:
+        a, b = data.draw(sl2_elements()), data.draw(sl2_elements())
+    else:
+        vec = st.tuples(huge, huge)
+        a = (data.draw(sl2_elements()), data.draw(vec))
+        b = (data.draw(sl2_elements()), data.draw(vec))
+    for x in (a, b):
+        g.validate(x)
+    prod, a_inv = g.multiply(a, b), g.inverse(a)
+    assert prod == mul(a, b) and a_inv == inv(a)
+    assert (g.sort_key(a) < g.sort_key(b)) == (key(a) < key(b))
+    g.validate(prod)    # plain Python ints, determinant 1
+    g.validate(a_inv)
 
 
 def sl2_from_word(g, word):

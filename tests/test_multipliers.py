@@ -48,7 +48,6 @@ from mdlab.multipliers import (
     md_upper_from_certificate,
     pairing,
     pairing_duality_check,
-    radial_circle_density,
     radial_density_certificate,
     read_brackets_csv,
     regular_compression_norm,
@@ -294,7 +293,8 @@ class TestGridTrigValues:
             radial_density_certificate(Z, Multiplier.radial(Z, coeffs))
         assert calls == [(5, 1, 64), (7, 1, 64)]
         thetas = circle_angles_reference(1, 64)
-        h = radial_circle_density([1.0, 0.3, 0.1])(thetas).real
+        items = [((0,), 1.0), ((1,), 0.3), ((-1,), 0.3), ((2,), 0.1), ((-2,), 0.1)]
+        h = grid_trig_values_reference(items, thetas).real
         want = float(np.linalg.norm(np.sqrt(1.0 / 64 * h)) ** 2)
         assert abs(cert.bound(2) - want) <= 4 * np.spacing(want)
 
@@ -314,13 +314,6 @@ class TestDensityCertificate:
         dens = lambda th: np.cos(th[:, 0])
         with pytest.raises(CertificateError):
             density_quadrature_certificate(Z, dens, Q=32)
-
-    def test_radial_density_is_the_cosine_series(self):
-        dens = radial_circle_density([1.0, 0.25j, -0.5])
-        th = np.array([0.0, 0.7, 2.0])
-        expected = 1.0 + 0.5j * np.cos(th) - np.cos(2 * th)
-        assert np.allclose(dens(th), expected, rtol=0, atol=1e-15)
-        assert np.array_equal(dens(th[:, None]), dens(th))
 
     def test_radial_density_certificate(self):
         phi = Multiplier.radial(Z, [1.0, 0.3, 0.1])

@@ -18,3 +18,19 @@ def test_tree_family_report_runs_from_a_checkout(tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert sum(line.startswith("z=") for line in proc.stdout.splitlines()) == 9
+
+
+def test_snapshot_reports_runs_from_a_checkout(tmp_path):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    out = tmp_path / "snap"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "snapshot_reports.py"), str(out)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    log = (out / "commands.txt").read_text().splitlines()
+    assert sum(line.startswith("$ mdlab ") for line in log) == 17
+    assert log.count("exit 0") == 17
+    for name in ("ball-sl2z/ball.csv", "extension-d3/extension_convergence.csv",
+                 "bracket-ind01/brackets.csv", "fejer-f2/fejer_convergence.csv",
+                 "report-R5/family_report.json", "schur/witness_x.csv"):
+        assert (out / name).is_file(), name
