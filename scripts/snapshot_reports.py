@@ -14,10 +14,18 @@ finds identical:
     python scripts/snapshot_reports.py /tmp/before   # in one checkout
     python scripts/snapshot_reports.py /tmp/after    # in the other
     diff -r /tmp/before /tmp/after
+
+With --manifest PATH the script also writes the sha256 of every file under
+OUT to PATH, one "digest  relative/path" line per file in path order.  The
+committed tests/snapshot_reports.sha256 is such a manifest, and Tier-1
+compares a fresh one with it; a change that moves report bytes rewrites it:
+
+    python scripts/snapshot_reports.py /tmp/snap --manifest tests/snapshot_reports.sha256
 """
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -120,8 +128,31 @@ def run(out: str) -> int:
     return 1 if failed else 0
 
 
+def write_manifest(out: str, path: str) -> None:
+    """sha256 of every file under out (but path itself), by relative path."""
+    entries = []
+    for root, _, files in os.walk(out):
+        for name in files:
+            full = os.path.join(root, name)
+            if full == path:
+                continue
+            with open(full, "rb") as fh:
+                digest = hashlib.sha256(fh.read()).hexdigest()
+            entries.append((os.path.relpath(full, out).replace(os.sep, "/"), digest))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(f"{digest}  {rel}\n" for rel, digest in sorted(entries))
+
+
 if __name__ == "__main__":
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("out", metavar="OUT", help="directory the reports are written to")
-    sys.exit(run(os.path.abspath(ap.parse_args().out)))
+    ap.add_argument("--manifest", metavar="PATH",
+                    help="also write the sha256 of every file under OUT to PATH")
+    args = ap.parse_args()
+    out = os.path.abspath(args.out)
+    manifest = args.manifest and os.path.abspath(args.manifest)
+    rc = run(out)
+    if manifest:
+        write_manifest(out, manifest)
+    sys.exit(rc)

@@ -53,7 +53,6 @@ from mdlab.multipliers import (
     write_brackets_csv,
 )
 from mdlab.families import (
-    FamilyError,
     TreeFamily,
     convergence_report,
     family_report,
@@ -231,6 +230,8 @@ def _write_convergence(args, cfg: RunConfig, group, rows, labels, C: float,
 
 
 def cmd_fejer(args, cfg: RunConfig) -> int:
+    if math.isnan(args.bound) or args.bound == -math.inf:
+        raise MultiplierError(f"-C must be a number or inf, got {args.bound}")
     group = _load_group_arg(args, default={"kind": "zn", "n": 1})
     pairs_nr = _grid(args.n_list, args.r_list)
     window = build_ball(group, cfg.window_radius, cap=cfg.ball_cap)
@@ -386,8 +387,7 @@ def main(argv=None) -> int:
         overrides = {"tol": args.tol, "seed": args.seed}
         cfg = resolve_config(cli_overrides=overrides)
         return args.func(args, cfg)
-    except (GroupError, MultiplierError, CertificateError, FamilyError,
-            ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # every mdlab validation error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BallCapError as exc:

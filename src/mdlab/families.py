@@ -40,8 +40,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from mdlab.config import fmt
-from mdlab.groups import Ball, FreeGroup, GroupRealization, ZnGroup, build_ball
+from mdlab.groups import Ball, BallCapError, FreeGroup, GroupRealization, ZnGroup, build_ball
 from mdlab.multipliers import (
+    GRID_NODE_CAP,
     Multiplier,
     MultiplierError,
     NormBracket,
@@ -83,6 +84,14 @@ class FamilyError(ValueError):
 # radial coefficient families
 # ---------------------------------------------------------------------------
 
+def _in_disk(z) -> complex:
+    """complex(z) if it lies in the open unit disk, else FamilyError (NaN too)."""
+    z = complex(z)
+    if not abs(z) < 1.0:
+        raise FamilyError(f"parameter must satisfy |z| < 1, got |z| = {abs(z)}")
+    return z
+
+
 def power_coefficient(z: complex, length: int) -> complex:
     """z**length with the 0**0 = 1 convention, so the identity always gets 1."""
     if length < 0:
@@ -94,9 +103,7 @@ def power_coefficient(z: complex, length: int) -> complex:
 
 def radial_power(group: GroupRealization, z: complex, max_len: int) -> Multiplier:
     """The radial multiplier t -> z^length(t), materialized up to max_len."""
-    z = complex(z)
-    if abs(z) >= 1.0:
-        raise FamilyError(f"parameter must satisfy |z| < 1, got |z| = {abs(z)}")
+    z = _in_disk(z)
     coeffs = [power_coefficient(z, ell) for ell in range(max_len + 1)]
     return Multiplier.radial(group, coeffs, name=f"power-{z:.6g}")
 
@@ -362,13 +369,10 @@ class TreeFamily:
         self._parent = parent
 
         # inverse pattern: delta_x = (v_x - z v_parent(x)) / c, column e is e_0
-        self._iv_rows = np.concatenate([[0], np.stack([np.arange(1, n), parent[1:]], axis=1).ravel()]) \
-            if n > 1 else np.zeros(1, dtype=np.intp)
-        self._iv_cols = np.concatenate([[0], np.repeat(np.arange(1, n), 2)]) \
-            if n > 1 else np.zeros(1, dtype=np.intp)
+        self._iv_rows = np.concatenate([[0], np.stack([np.arange(1, n), parent[1:]], axis=1).ravel()])
+        self._iv_cols = np.concatenate([[0], np.repeat(np.arange(1, n), 2)])
         # 0: literal 1, 1: 1/c, 2: -z/c
-        self._iv_kind = np.concatenate([[0], np.tile([1, 2], n - 1)]) \
-            if n > 1 else np.zeros(1, dtype=np.intp)
+        self._iv_kind = np.concatenate([[0], np.tile([1, 2], n - 1)])
 
         # left-multiplication index maps, overflow columns rerouted to the
         # unreached rows (both live on the outer sphere; sorted order pairs them)
@@ -387,14 +391,14 @@ class TreeFamily:
         # _shift[l][k, j] = index[t.x_j] for the k-th word t of length l and
         # x_j of depth <= radius - l.  t.x = s.(t'.x) for t = s t' never
         # leaves the ball, so chaining the generator maps meets no rerouting.
-        self._sphere_start = np.cumsum([0] + list(self.ball.sphere_sizes))
+        starts = self.ball.starts
         self._shift = [np.arange(n, dtype=np.intp)[None, :]]
         for ell in range(1, radius + 1):
             words = self.ball.sphere(ell)
-            m = self._sphere_start[radius - ell + 1]
+            m = starts[radius - ell + 1]
             heads = np.fromiter((t[0] for t in words), dtype=np.intp, count=len(words))
             tails = np.fromiter((index[t[1:]] for t in words), dtype=np.intp,
-                                count=len(words)) - self._sphere_start[ell - 1]
+                                count=len(words)) - starts[ell - 1]
             prev = self._shift[ell - 1][:, :m]
             table = np.empty((len(words), m), dtype=np.intp)
             for (s,), img in self._perm.items():
@@ -422,15 +426,11 @@ class TreeFamily:
 
     def _values(self, z: complex):
         """V's entries at z in pattern (column-major) order, and the inverse's
-        value table [1, 1/c, -z/c] with c = sqrt(1 - z^2)."""
-        z = complex(z)
-        if abs(z) >= 1.0:
-            raise FamilyError(f"parameter must satisfy |z| < 1, got |z| = {abs(z)}")
+        value table [1, 1/c, -z/c] with c = sqrt(1 - z^2).  Column x of V
+        starts (at _v_ptr[x]) with its basepoint entry z^len(x)."""
+        z = _in_disk(z)
         c = cmath.sqrt(1.0 - z * z)
-        zpow = z ** np.arange(self.radius + 1, dtype=float)
-        if z == 0:
-            zpow = np.zeros(self.radius + 1, dtype=complex)
-            zpow[0] = 1.0
+        zpow = np.array([power_coefficient(z, k) for k in range(self.radius + 1)])
         vals = np.where(self._v_base, zpow[self._v_exps], c * zpow[self._v_exps])
         return vals, np.array([1.0, 1.0 / c, -z / c], dtype=complex)
 
@@ -605,9 +605,8 @@ class TreeFamily:
         z0 = complex(z0)
         if h <= 0:
             raise FamilyError(f"step must be positive, got {h}")
-        steps = (z0 + h, z0 - h, z0 + 1j * h, z0 - 1j * h)
-        if any(abs(w) >= 1.0 for w in steps):
-            raise FamilyError(f"difference step {h} leaves the open unit disk at {z0}")
+        for w in (z0 + h, z0 - h, z0 + 1j * h, z0 - 1j * h):
+            _in_disk(w)
         f = lambda w: self.coefficient_path(w, t)
         fx = (f(z0 + h) - f(z0 - h)) / (2.0 * h)
         dy = (f(z0 + 1j * h) - f(z0 - 1j * h)) / (2.0 * h)
@@ -643,8 +642,6 @@ class TreeFamilyPoint:
         self.V, self.Vinv = family._pair(self._vals, self._inv)
         self._pi_cache: dict = {}
         self._bound: float | None = None
-        self._zpow = np.array([power_coefficient(self.z, k)
-                               for k in range(self.radius + 1)])
 
     # -- basic operators -------------------------------------------------------
 
@@ -664,7 +661,7 @@ class TreeFamilyPoint:
         return self.family.coefficient_path(self.z, t)
 
     def _interior_count(self, depth: int) -> int:
-        return sum(self.family.ball.sphere_sizes[:max(depth, 0) + 1])
+        return self.family.ball.starts[max(depth, 0) + 1]
 
     # -- contract residuals ----------------------------------------------------
 
@@ -680,12 +677,14 @@ class TreeFamilyPoint:
         n = len(ball)
         W = np.zeros((m, n), dtype=complex)
         W[0, 0] = 1.0
+        # V's basepoint entries: z^len(x_j) from the family's one power table
+        want = self._vals[self.family._v_ptr[:m]]
         worst = 0.0
         for j in range(1, m):
             x = ball.elements[j]
             head = self.pi_matrix((x[0],))
             W[j] = head @ W[ball.index[x[1:]]]
-            worst = max(worst, abs(W[j, 0] - self._zpow[len(x)]))
+            worst = max(worst, abs(W[j, 0] - want[j]))
         return worst
 
     def unitarity_residual(self) -> float:
@@ -718,7 +717,7 @@ class TreeFamilyPoint:
         if ell > self.radius:
             raise FamilyError(f"word of length {ell} does not fit in radius {self.radius}")
         ball = self.family.ball
-        k = ball.index[t] - self.family._sphere_start[ell]
+        k = ball.index[t] - ball.starts[ell]
         _, rows, cols, pos, kind = self.family._pattern(ell, k, k + 1)
         m = self._interior_count(self.radius - ell)
         return sp.csr_matrix((self._vals[pos] * self._inv[kind], (rows, cols)),
@@ -837,8 +836,13 @@ def fejer_bracket_tree(family: TreeFamily, N: int, r: float, d: int, *,
 
     Lower bounds come from the certified window machinery on the radius-2
     ball; the upper bound averages empirical family bounds and is flagged
-    as such.  Returns (multiplier, bracket).
+    as such.  Returns (multiplier, bracket).  More than GRID_NODE_CAP
+    quadrature nodes raises BallCapError before the coefficients or the
+    nodes are built.
     """
+    if quad_factor * (N + 1) > GRID_NODE_CAP:
+        raise BallCapError(f"{quad_factor * (N + 1)} quadrature nodes for N = {N} "
+                           f"exceed the cap of {GRID_NODE_CAP}")
     phi = fejer_multiplier(family.group, N, r)
     ball = build_ball(family.group, 2)
     base = compute_bracket(family.group, phi, d, ball, certificate=None,

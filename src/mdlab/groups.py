@@ -25,6 +25,7 @@ makes Gram matrices and CSV dumps reproducible across runs.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
@@ -78,36 +79,6 @@ class GroupRealization:
     def __init__(self) -> None:
         self._layers: list[list[Any]] = [[self.identity]]
         self._lengths: dict[Any, int] = {self.identity: 0}
-
-    # -- arithmetic interface ------------------------------------------------
-
-    @property
-    def identity(self):
-        raise NotImplementedError
-
-    def generators(self) -> list:
-        raise NotImplementedError
-
-    def multiply(self, a, b):
-        raise NotImplementedError
-
-    def inverse(self, a):
-        raise NotImplementedError
-
-    def sort_key(self, a):
-        raise NotImplementedError
-
-    def validate(self, a) -> None:
-        raise NotImplementedError
-
-    def element_to_string(self, a) -> str:
-        raise NotImplementedError
-
-    def element_to_json(self, a):
-        raise NotImplementedError
-
-    def element_from_json(self, obj):
-        raise NotImplementedError
 
     # -- word length ----------------------------------------------------------
 
@@ -536,8 +507,9 @@ class _SL2Rows(GroupRealization):
     """Group law, BFS and pair word lengths on integer rows, for SL(2,Z) and
     its semidirect product with Z^2.
 
-    multiply and inverse apply the law to an element's row of Python ints,
-    _to_row(element), and sort_key is that row, so the explored ball, one
+    Subclasses provide _to_row(element), the element's row of Python ints,
+    and its inverse _from_row(row).  multiply and inverse apply the law to
+    rows, and sort_key is the row, so the explored ball, one
     row array per sphere, each sorted lexicographically, is in sort_key
     order.  The tuple views _layers and _lengths are made sphere by sphere,
     only as far as build_ball or word_length reads them.
@@ -548,12 +520,6 @@ class _SL2Rows(GroupRealization):
         self._generator_rows = np.array([self._to_row(s) for s in self.generators()],
                                         dtype=np.int64)
         super().__init__()
-
-    def _to_row(self, a) -> tuple:
-        raise NotImplementedError
-
-    def _from_row(self, row):
-        raise NotImplementedError
 
     def multiply(self, a, b):
         return self._from_row(_law_product(self._to_row(a), self._to_row(b)))
@@ -786,7 +752,8 @@ class Ball:
     """Ball of radius R, enumerated sphere by sphere in canonical order.
 
     elements[0] is the identity; index maps element -> position; lengths[i]
-    is the word length of elements[i].
+    is the word length of elements[i].  Sphere r is elements[starts[r]:
+    starts[r + 1]], so starts has radius + 2 entries and ends at len(elements).
     """
 
     group: GroupRealization
@@ -795,16 +762,16 @@ class Ball:
     index: dict
     lengths: list[int]
     sphere_sizes: list[int]
+    starts: list[int]
 
     def __len__(self) -> int:
         return len(self.elements)
 
     def sphere(self, r: int) -> list:
-        lo = sum(self.sphere_sizes[:r])
-        return self.elements[lo:lo + self.sphere_sizes[r]]
+        return self.elements[self.starts[r]:self.starts[r + 1]]
 
     def elements_up_to(self, r: int) -> list:
-        return self.elements[:sum(self.sphere_sizes[:r + 1])]
+        return self.elements[:self.starts[r + 1]]
 
     def write_csv(self, fh, header_lines: Iterable[str] = ()) -> None:
         for line in header_lines:
@@ -820,18 +787,18 @@ def build_ball(group: GroupRealization, radius: int, cap: int = 500_000) -> Ball
     if radius < 0:
         raise GroupError(f"ball radius must be >= 0, got {radius}")
     group._ensure_radius(radius, cap)
-    elements: list = []
-    sphere_sizes: list[int] = []
-    for r in range(radius + 1):
-        layer = group._layers[r]
-        sphere_sizes.append(len(layer))
-        elements.extend(layer)
-        if len(elements) > cap:
-            raise BallCapError(f"{group.kind}: ball of radius {radius} exceeds cap {cap}")
+    layers = group._layers[:radius + 1]
+    sphere_sizes = [len(layer) for layer in layers]
+    starts = list(itertools.accumulate(sphere_sizes, initial=0))
+    if starts[-1] > cap:
+        raise BallCapError(f"{group.kind}: ball of radius {radius} exceeds cap {cap}")
+    elements = list(itertools.chain.from_iterable(layers))
     index = {x: i for i, x in enumerate(elements)}
-    lengths = [group._lengths[x] for x in elements]
+    lengths: list[int] = []
+    for r, size in enumerate(sphere_sizes):
+        lengths += [r] * size
     return Ball(group=group, radius=radius, elements=elements, index=index,
-                lengths=lengths, sphere_sizes=sphere_sizes)
+                lengths=lengths, sphere_sizes=sphere_sizes, starts=starts)
 
 
 def gram_matrix(group: GroupRealization, phi: Callable, elements: list) -> np.ndarray:

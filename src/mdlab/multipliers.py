@@ -283,6 +283,12 @@ def _apply(mat, vec):
     return mat @ vec
 
 
+def _as_matrix(value) -> np.ndarray:
+    """A value of pi as a full complex matrix; a 1-d value is a diagonal."""
+    M = np.asarray(value, dtype=complex)
+    return np.diag(M) if M.ndim == 1 else M
+
+
 @dataclass
 class MatrixRepCertificate:
     """phi(t) = <pi(t) eta, xi> with an explicit matrix-valued pi.
@@ -399,8 +405,7 @@ def _checked_rep(group, pi, elements, *, isometries: bool):
     sample = _sample_elements(group, elements, np.random.default_rng(0), 40)
 
     def as_matrix(t):
-        M = np.asarray(pi(t), dtype=complex)
-        return np.diag(M) if M.ndim == 1 else M
+        return _as_matrix(pi(t))
 
     ident = as_matrix(group.identity)
     eye = np.eye(ident.shape[0])
@@ -661,16 +666,15 @@ class CertificateReport:
     max_residual: float
     checked: int
     skipped_outside_window: int
-    mode: str  # "exhaustive" or "sampled"
 
     def ok(self, tol: float) -> bool:
         return self.checked > 0 and self.max_residual <= tol
 
 
 def verify_certificate(phi: Callable, cert, elements, d: int = 2,
-                       cap: int = 200_000, samples: int = 2000,
-                       seed: int = 0) -> CertificateReport:
-    """Recompute phi(t_1...t_d) as the certificate's d-fold product.
+                       cap: int = 200_000) -> CertificateReport:
+    """Recompute phi(t_1...t_d) as the certificate's d-fold product, for
+    every d-tuple of elements; more than cap tuples is a ValueError.
 
     Walks actual products of the certificate's maps (matrix chains or set
     translations), never the shortcut phi = coefficient, so a certificate
@@ -681,20 +685,12 @@ def verify_certificate(phi: Callable, cert, elements, d: int = 2,
     elements = list(elements)
     if not elements:
         raise ValueError("no elements to verify on")
-    total = len(elements) ** d
-    rng = np.random.default_rng(seed)
-    if total <= cap:
-        mode = "exhaustive"
-        idx_tuples = itertools.product(range(len(elements)), repeat=d)
-    else:
-        mode = "sampled"
-        idx_tuples = (tuple(rng.integers(0, len(elements), size=d))
-                      for _ in range(samples))
+    if len(elements) ** d > cap:
+        raise ValueError(f"{len(elements)}^{d} tuples exceed the verification cap {cap}")
     max_res = 0.0
     checked = 0
     skipped = 0
-    for idx in idx_tuples:
-        ts = [elements[i] for i in idx]
+    for ts in itertools.product(elements, repeat=d):
         prod = group.identity
         for t in ts:
             prod = group.multiply(prod, t)
@@ -706,7 +702,7 @@ def verify_certificate(phi: Callable, cert, elements, d: int = 2,
         max_res = max(max_res, abs(got - want))
         checked += 1
     return CertificateReport(d=d, max_residual=max_res, checked=checked,
-                             skipped_outside_window=skipped, mode=mode)
+                             skipped_outside_window=skipped)
 
 
 def md_upper_from_certificate(cert, d: int) -> float:
@@ -764,9 +760,7 @@ def pairing_duality_check(phi: Callable, cert: MatrixRepCertificate, g):
     lhs = abs(pairing(phi, g))
     acc = None
     for t, v in _pairing_items(g):
-        M = np.asarray(cert.pi(t), dtype=complex)
-        if M.ndim == 1:
-            M = np.diag(M)
+        M = _as_matrix(cert.pi(t))
         acc = v * M if acc is None else acc + v * M
     if acc is None:
         return lhs, 0.0

@@ -82,7 +82,6 @@ class SchurSolution:
     lower_bound: float
     iterations: int
     gap: float
-    converged: bool
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +271,7 @@ def schur_norm(A, tol: float = 1e-8, max_iter: int = 100) -> SchurSolution:
             witness_residual=0.0, upper_bound=0.0,
             mu=np.full(m, 1.0 / mass), nu=np.full(n, 1.0 / mass),
             R=np.zeros((m, n)), lower_bound=0.0,
-            iterations=0, gap=0.0, converged=True)
+            iterations=0, gap=0.0)
     if not np.all(np.isfinite(np.asarray(A, dtype=complex))):
         raise ValueError("matrix has non-finite entries")
     if not (np.iscomplexobj(A) and np.any(A.imag)):
@@ -373,7 +372,7 @@ def schur_norm(A, tol: float = 1e-8, max_iter: int = 100) -> SchurSolution:
         value=pt.value * scale, x=x, y=y,
         witness_residual=verify_witness(A, x, y), upper_bound=upper,
         mu=mu, nu=nu, R=R, lower_bound=lower, iterations=it,
-        gap=(upper - lower) / max(1.0, upper), converged=True)
+        gap=(upper - lower) / max(1.0, upper))
 
 
 # ---------------------------------------------------------------------------
@@ -448,5 +447,4 @@ def read_matrix_binary(fh) -> np.ndarray:
     raw = fh.read(16 * m * n)
     if len(raw) != 16 * m * n:
         raise ValueError("truncated matrix file")
-    flat = np.frombuffer(raw, dtype="<f8").reshape(m, n, 2)
-    return flat[:, :, 0] + 1j * flat[:, :, 1]
+    return np.frombuffer(raw, dtype="<c16").reshape(m, n)

@@ -497,7 +497,7 @@ def schur_norm_reference(A, tol: float = 1e-8, max_iter: int = 100) -> SchurSolu
             witness_residual=0.0, upper_bound=0.0,
             mu=np.full(m, 1.0 / mass), nu=np.full(n, 1.0 / mass),
             R=np.zeros((m, n)), lower_bound=0.0,
-            iterations=0, gap=0.0, converged=True)
+            iterations=0, gap=0.0)
     if not np.all(np.isfinite(np.asarray(A, dtype=complex))):
         raise ValueError("matrix has non-finite entries")
 
@@ -549,4 +549,4 @@ def schur_norm_reference(A, tol: float = 1e-8, max_iter: int = 100) -> SchurSolu
         witness_residual=verify_witness(A, x, y),
         upper_bound=witness_upper_bound(x, y),
         mu=mu, nu=nu, R=R, lower_bound=lower,
-        iterations=res["iterations"], gap=res["gap"], converged=True)
+        iterations=res["iterations"], gap=res["gap"])

@@ -114,6 +114,15 @@ class TestSchur:
         assert main(["schur", "--matrix", str(m), "--out", str(tmp_path)]) == 0
         assert capsys.readouterr().out.strip() == "1.000000"
 
+    @pytest.mark.filterwarnings("error")
+    def test_binary_with_an_infinite_imaginary_part_exits_2(self, tmp_path, capsys):
+        m = tmp_path / "inf.bin"
+        with open(m, "wb") as fh:
+            write_matrix_binary(fh, np.array([[complex(1.0, math.inf)]]))
+        assert main(["schur", "--matrix", str(m), "--out", str(tmp_path / "o")]) == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_binary_header_larger_than_the_file(self, tmp_path):
         m = tmp_path / "huge.bin"
         m.write_bytes(b"SCHR1" + struct.pack("<II", 65535, 65535))
@@ -388,6 +397,35 @@ class TestFejer:
         assert "resource cap" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_free_group_node_cap_is_checked_before_the_coefficients_exist(
+            self, tmp_path, groups, capsys):
+        # the coefficients alone take ~70 MB at N = 10^6, the nodes more
+        argv = ["fejer", "--group", groups["f2"], "--N-list", str(10 ** 6),
+                "--r-list", "0.9", "--out", str(tmp_path / "o")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 3
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+        assert f"the cap of {GRID_NODE_CAP}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("C", ["nan", "-inf"])
+    def test_non_finite_bound_exits_2(self, tmp_path, groups, C, capsys):
+        out = tmp_path / "o"
+        assert main(["fejer", "--group", groups["z"], "--N-list", "4",
+                     "--r-list", "0.9", f"-C={C}", "--out", str(out)]) == 2
+        assert "-C must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_infinite_bound_is_accepted(self, tmp_path, groups):
+        out = tmp_path / "o"
+        assert main(["fejer", "--group", groups["z"], "--N-list", "4",
+                     "--r-list", "0.9", "-C", "inf", "--out", str(out)]) == 0
+        assert "# C=inf" in (out / "fejer_convergence.csv").read_text()
+
 
 class TestExtension:
     def test_residuals_decrease(self, tmp_path):
@@ -425,6 +463,14 @@ class TestReport:
         assert payload["config"]["tol"] == "1e-06"
         for p in payload["points"]:
             assert p["coefficient_residual"] < 1e-10
+
+    @pytest.mark.parametrize("z", ["nan", "inf", "1+nanj"])
+    def test_non_finite_parameter_exits_2(self, tmp_path, z, capsys):
+        out = tmp_path / "o"
+        assert main(["report", "-R", "3", "--z-list", f"0.5,{z}",
+                     "--out", str(out)]) == 2
+        assert "|z| < 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unparseable_grid(self, tmp_path):
         assert main(["report", "--z-list", "banana",

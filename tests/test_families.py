@@ -321,6 +321,17 @@ class TestTreeSkeleton:
         with pytest.raises(FamilyError):
             FAM4.point(0.8 + 0.7j, check=False)
 
+    @pytest.mark.parametrize("z", [math.nan, math.inf, complex(1.0, math.nan)])
+    def test_non_finite_parameters_are_outside_the_disk(self, z):
+        with pytest.raises(FamilyError, match=r"\|z\| < 1"):
+            radial_power(Z, z, 3)
+        with pytest.raises(FamilyError, match=r"\|z\| < 1"):
+            FAM4.point(z, check=False)
+        with pytest.raises(FamilyError, match=r"\|z\| < 1"):
+            FAM4.empirical_bounds([0.5, z])
+        with pytest.raises(FamilyError, match=r"\|z\| < 1"):
+            FAM4.holomorphy_residual((1, 2, 1), z, 1e-3)
+
 
 class TestTreePoint:
     def test_coefficient_matches_power(self):

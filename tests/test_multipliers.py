@@ -171,7 +171,6 @@ class TestQuadratureCertificate:
         cert = circle_quadrature_certificate(Z, phi, Q=8)
         elements = [(m,) for m in range(-5, 6)]
         rep = verify_certificate(phi, cert, elements, d=2)
-        assert rep.mode == "exhaustive"
         assert rep.skipped_outside_window > 0
         assert rep.checked > 0
         assert rep.max_residual < 1e-12
@@ -375,7 +374,6 @@ class TestFolner:
         cert = folner_certificate(group, k)
         elements = [(i, j) for i in range(-2, 3) for j in range(-2, 3)]
         rep = verify_certificate(phi, cert, elements, d=3, cap=200_000)
-        assert rep.mode == "exhaustive"
         assert rep.max_residual < 1e-15
 
     def test_approximants(self):
