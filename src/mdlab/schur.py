@@ -45,8 +45,8 @@ __all__ = [
     "write_matrix_binary", "read_matrix_binary",
 ]
 
-# Entries per chunk of the Hessian's (rows, rows, singular pairs) product,
-# which keeps the work array of a 200 x 200 solve near 8 MB.
+# Entries per chunk of the Hessian's pair columns (rows times singular
+# pairs), which keeps each work array of a 200 x 200 solve near 8 MB.
 _HESSIAN_CHUNK = 1 << 19
 
 # A trial step shrinks a weight's excess over its floor at most tenfold, so
@@ -191,24 +191,29 @@ def _hessian(pt: _Weights) -> np.ndarray:
     second-order term is sum_kl |F_kl - conj F_lk|^2 / (4 (s_k + s_l)) over
     the full (zero-padded) singular values; for E = (D_alpha B + B D_beta)/2
     that is sum_kl c_kl |(U* D_alpha U - V* D_beta V)_kl|^2 with
-    c_kl = (s_k - s_l)^2 / (8 (s_k + s_l)).  The square roots in B add
-    -diag(USU*)/4, -diag(VSV*)/4 and the cross term Re(conj(UV*) o B)/4.
+    c_kl = (s_k - s_l)^2 / (8 (s_k + s_l)).  As c is symmetric with c_kk = 0,
+    that term is Re(Y Y*), where W = [U; V] and Y has the column
+    sqrt(2 c_kl) conj(W_k) o W_l for each pair k < l with s_k + s_l > 0; a
+    complex Y read as interleaved real pairs makes it one real product.  The
+    square roots in B add -diag(USU*)/4, -diag(VSV*)/4 and the cross term
+    Re(conj(UV*) o B)/4.
     """
     m, n = pt.B.shape
     N, p = m + n, max(m, n)
-    sig = np.zeros(p)
-    sig[:pt.s.size] = pt.s
-    tot = sig[:, None] + sig[None, :]
-    c = np.divide((sig[:, None] - sig[None, :]) ** 2, 8.0 * tot,
-                  out=np.zeros_like(tot), where=tot > 0)
+    sig = np.concatenate([pt.s, np.zeros(p - pt.s.size)])
+    i = np.arange(p)
+    k, l = np.nonzero((i[:, None] < i) & (sig[:, None] + sig > 0))
+    weight = np.abs(sig[k] - sig[l]) / (2.0 * np.sqrt(sig[k] + sig[l]))   # sqrt(2 c_kl)
     W = np.zeros((N, p), dtype=pt.U.dtype)
     W[:m, :m] = pt.U
     W[m:, :n] = pt.Vh.conj().T
-    H = np.empty((N, N))
-    step = max(1, _HESSIAN_CHUNK // (N * p))
-    for i0 in range(0, N, step):
-        X = W[i0:i0 + step, None, :].conj() * W[None, :, :]
-        H[i0:i0 + step] = np.einsum("ijk,ijk->ij", X @ c, X.conj()).real
+    H = np.zeros((N, N))
+    step = max(1, _HESSIAN_CHUNK // N)
+    for j in range(0, k.size, step):
+        # a complex chunk in C order reads as (re, im) pairs side by side
+        Y = W.take(k[j:j + step], axis=1).conj() * W.take(l[j:j + step], axis=1)
+        Y = (Y * weight[j:j + step]).view(np.float64)
+        H += Y @ Y.T
     r = pt.s.size
     cross = np.real((pt.U[:, :r] @ pt.Vh[:r]).conj() * pt.B) / 4.0
     H[:m, m:] = cross - H[:m, m:]

@@ -550,3 +550,32 @@ def schur_norm_reference(A, tol: float = 1e-8, max_iter: int = 100) -> SchurSolu
         upper_bound=witness_upper_bound(x, y),
         mu=mu, nu=nu, R=R, lower_bound=lower,
         iterations=res["iterations"], gap=res["gap"])
+
+
+def hessian_reference(pt) -> np.ndarray:
+    """The reduced dual's Newton Hessian at a schur._Weights point, with the
+    main term sum_kl c_kl |(W* D W)_kl|^2 summed over all ordered pairs of
+    singular vectors by a batched product and an einsum, a block of rows at
+    a time."""
+    m, n = pt.B.shape
+    N, p = m + n, max(m, n)
+    sig = np.zeros(p)
+    sig[:pt.s.size] = pt.s
+    tot = sig[:, None] + sig[None, :]
+    c = np.divide((sig[:, None] - sig[None, :]) ** 2, 8.0 * tot,
+                  out=np.zeros_like(tot), where=tot > 0)
+    W = np.zeros((N, p), dtype=pt.U.dtype)
+    W[:m, :m] = pt.U
+    W[m:, :n] = pt.Vh.conj().T
+    H = np.empty((N, N))
+    step = max(1, (1 << 19) // (N * p))
+    for i0 in range(0, N, step):
+        X = W[i0:i0 + step, None, :].conj() * W[None, :, :]
+        H[i0:i0 + step] = np.einsum("ijk,ijk->ij", X @ c, X.conj()).real
+    r = pt.s.size
+    cross = np.real((pt.U[:, :r] @ pt.Vh[:r]).conj() * pt.B) / 4.0
+    H[:m, m:] = cross - H[:m, m:]
+    H[m:, :m] = cross.T - H[m:, :m]
+    H[np.arange(m), np.arange(m)] -= pt.P / 4.0
+    H[np.arange(m, N), np.arange(m, N)] -= pt.Q / 4.0
+    return H

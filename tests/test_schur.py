@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mdlab import schur
 from mdlab.families import fejer_multiplier
 from mdlab.groups import FreeGroup, ZnGroup, build_ball, gram_matrix
 from mdlab.multipliers import Multiplier
@@ -30,7 +31,7 @@ from mdlab.schur import (
     write_matrix_csv,
 )
 
-from oracles import schur_norm_2x2_grid, schur_norm_reference
+from oracles import hessian_reference, schur_norm_2x2_grid, schur_norm_reference
 
 
 def random_correlation(rng, n):
@@ -449,4 +450,87 @@ def test_large_solve_memory():
     finally:
         tracemalloc.stop()
     assert sol.gap <= 1e-8
+    assert peak <= 64 * 2 ** 20
+
+
+# ---------------------------------------------------------------------------
+# the Newton Hessian
+# ---------------------------------------------------------------------------
+
+def _random_matrix(rng, m, n, complex_):
+    return rng.normal(size=(m, n)) + (1j * rng.normal(size=(m, n)) if complex_ else 0.0)
+
+
+def _random_weights(rng, m, n):
+    """Probability vectors with every weight at least half the uniform one,
+    so away from the solver's floor."""
+    a, b = 0.5 + rng.random(m), 0.5 + rng.random(n)
+    return a / a.sum(), b / b.sum()
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("m,n", [(6, 6), (3, 7), (7, 3)])
+def test_hessian_matches_the_batched_reference(m, n, complex_):
+    rng = np.random.default_rng(10 * m + n)
+    pt = schur._Weights(_random_matrix(rng, m, n, complex_), *_random_weights(rng, m, n))
+    H, want = schur._hessian(pt), hessian_reference(pt)
+    assert np.array_equal(H, H.T)
+    assert np.abs(H - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_hessian_of_a_rank_one_matrix_matches_the_batched_reference(complex_):
+    rng = np.random.default_rng(3)
+    u, v = _random_matrix(rng, 5, 1, complex_), _random_matrix(rng, 1, 4, False)
+    u[1], v[0, 2] = 0.0, 0.0
+    pt = schur._Weights(u @ v, *_random_weights(rng, 5, 4))
+    # the zero row and column make one singular value exactly zero, so with
+    # the zero-padded fifth some pairs have s_k + s_l = 0 and drop out
+    assert np.count_nonzero(pt.s == 0.0) >= 1
+    H, want = schur._hessian(pt), hessian_reference(pt)
+    assert np.abs(H - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_hessian_chunks_add_up(complex_, monkeypatch):
+    rng = np.random.default_rng(21)
+    pt = schur._Weights(_random_matrix(rng, 8, 6, complex_), *_random_weights(rng, 8, 6))
+    whole = schur._hessian(pt)
+    # 27 pairs: the two zero-padded singular values make none between them;
+    # nine pair columns of 14 rows to a chunk make three chunks
+    monkeypatch.setattr(schur, "_HESSIAN_CHUNK", 14 * 9)
+    H, want = schur._hessian(pt), hessian_reference(pt)
+    assert np.abs(H - want).max() <= 1e-13 * np.abs(want).max()
+    assert np.abs(H - whole).max() <= 1e-13 * np.abs(whole).max()
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("m,n", [(4, 3), (5, 5)])
+def test_hessian_is_the_second_derivative_of_the_trace_norm(m, n, complex_):
+    rng = np.random.default_rng(30 + m + n)
+    A = _random_matrix(rng, m, n, complex_)
+    a, b = _random_weights(rng, m, n)
+    H = schur._hessian(schur._Weights(A, a, b))
+
+    def f(d):
+        B = np.sqrt(a * (1.0 + d[:m]))[:, None] * A * np.sqrt(b * (1.0 + d[m:]))
+        return float(np.linalg.svd(B, compute_uv=False).sum())
+
+    # central second differences with h = 1e-4
+    E = 1e-4 * np.eye(m + n)
+    fd = np.array([[f(E[i] + E[j]) - f(E[i] - E[j]) - f(E[j] - E[i]) + f(-E[i] - E[j])
+                    for j in range(m + n)] for i in range(m + n)]) / (4.0 * 1e-8)
+    assert np.abs(H - fd).max() <= 1e-6 * np.abs(H).max()
+
+
+def test_complex_hessian_memory():
+    A = _random_matrix(np.random.default_rng(18), 200, 200, True)
+    pt = schur._Weights(A, np.full(200, 1.0 / 200), np.full(200, 1.0 / 200))
+    tracemalloc.start()
+    try:
+        H = schur._hessian(pt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert H.shape == (400, 400) and np.all(np.isfinite(H))
     assert peak <= 64 * 2 ** 20
