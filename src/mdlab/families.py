@@ -33,7 +33,7 @@ import cmath
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -45,7 +45,6 @@ from mdlab.multipliers import (
     GRID_NODE_CAP,
     Multiplier,
     MultiplierError,
-    NormBracket,
     compute_bracket,
     density_quadrature_certificate,
 )
@@ -112,10 +111,17 @@ def radial_power(group: GroupRealization, z: complex, max_len: int) -> Multiplie
 # Fejer kernel and smoothing
 # ---------------------------------------------------------------------------
 
-def fejer_kernel_coeff(N: int, n: int) -> float:
-    """Fourier coefficient of the degree-N Fejer kernel: max(0, 1 - |n|/(N+1))."""
+def _check_kernel(N: int, r: float | None = None) -> None:
+    """FamilyError unless the degree N >= 0 and, when given, 0 < r < 1."""
     if N < 0:
         raise FamilyError(f"kernel degree must be >= 0, got {N}")
+    if r is not None and not 0.0 < r < 1.0:
+        raise FamilyError(f"radius must lie in (0, 1), got {r}")
+
+
+def fejer_kernel_coeff(N: int, n: int) -> float:
+    """Fourier coefficient of the degree-N Fejer kernel: max(0, 1 - |n|/(N+1))."""
+    _check_kernel(N)
     return max(0.0, 1.0 - abs(n) / (N + 1))
 
 
@@ -126,8 +132,7 @@ def fejer_kernel_value(N: int, theta) -> np.ndarray:
     construction; the removable singularity at t = 0 (mod 2pi) takes the
     limit value N+1.
     """
-    if N < 0:
-        raise FamilyError(f"kernel degree must be >= 0, got {N}")
+    _check_kernel(N)
     th = np.atleast_1d(np.asarray(theta, dtype=float))
     M = N + 1
     s = np.sin(0.5 * th)
@@ -146,8 +151,7 @@ def fejer_nodes(N: int, quad_factor: int = 4):
     F_N(theta) e^(i l theta) with l <= N and then some.  The weights are
     nonnegative and sum to 1 exactly (the aliases of the unit mass vanish).
     """
-    if N < 0:
-        raise FamilyError(f"kernel degree must be >= 0, got {N}")
+    _check_kernel(N)
     if quad_factor < 4:
         raise FamilyError(f"need at least 4(N+1) quadrature nodes, got factor {quad_factor}")
     Q = quad_factor * (N + 1)
@@ -163,10 +167,7 @@ def fejer_multiplier(group: GroupRealization, N: int, r: float) -> Multiplier:
     z^length over z = r e^(i theta) against the Fejer kernel produces; the
     identity is tested, not assumed (see quadrature_average).
     """
-    if N < 0:
-        raise FamilyError(f"kernel degree must be >= 0, got {N}")
-    if not 0.0 < r < 1.0:
-        raise FamilyError(f"radius must lie in (0, 1), got {r}")
+    _check_kernel(N, r)
     coeffs = [fejer_kernel_coeff(N, ell) * r ** ell for ell in range(N + 1)]
     return Multiplier.radial(group, coeffs, name=f"fejer-N{N}-r{r:.6g}")
 
@@ -180,10 +181,7 @@ def fejer_poisson_density(N: int, r: float) -> Callable:
     what makes the quadrature certificate route work; its mean recovers
     the coefficient at 0, namely 1.
     """
-    if N < 0:
-        raise FamilyError(f"kernel degree must be >= 0, got {N}")
-    if not 0.0 < r < 1.0:
-        raise FamilyError(f"radius must lie in (0, 1), got {r}")
+    _check_kernel(N, r)
     M = N + 1
 
     def density(thetas) -> np.ndarray:
@@ -228,8 +226,7 @@ def fejer_bracket(group: ZnGroup, N: int, r: float, d: int, ball: Ball, *,
 DUST = 1e-14
 
 
-def quadrature_average(samples: Sequence[Multiplier], weights,
-                       name: str | None = None):
+def quadrature_average(samples: Sequence[Multiplier], weights):
     """Pointwise weighted average of a grid of multipliers.
 
     All samples must share a kind (finite or radial).  Averaged values with
@@ -243,6 +240,7 @@ def quadrature_average(samples: Sequence[Multiplier], weights,
             f"{len(samples)} samples need as many weights, got shape {w.shape}")
     if not samples:
         raise MultiplierError("cannot average an empty sample grid")
+    name = f"avg-{samples[0].name}"
     kinds = {s.kind for s in samples}
     if kinds == {"radial"}:
         length = max(len(s.coeffs) for s in samples)
@@ -255,8 +253,7 @@ def quadrature_average(samples: Sequence[Multiplier], weights,
         acc[small] = 0.0
         nz = np.nonzero(acc)[0]
         coeffs = list(acc[:nz[-1] + 1]) if nz.size else []
-        avg = Multiplier.radial(samples[0].group, coeffs,
-                                name=name or f"avg-{samples[0].name}")
+        avg = Multiplier.radial(samples[0].group, coeffs, name=name)
         return avg, dropped
     if kinds == {"finite"}:
         acc_map: dict = {}
@@ -265,8 +262,7 @@ def quadrature_average(samples: Sequence[Multiplier], weights,
                 acc_map[t] = acc_map.get(t, 0j) + wq * v
         dropped = sum(abs(v) for v in acc_map.values() if abs(v) < DUST)
         support = {t: v for t, v in acc_map.items() if abs(v) >= DUST}
-        avg = Multiplier.finite(samples[0].group, support,
-                                name=name or f"avg-{samples[0].name}")
+        avg = Multiplier.finite(samples[0].group, support, name=name)
         return avg, float(dropped)
     raise MultiplierError(f"averaging needs uniform finite or radial samples, got kinds {sorted(kinds)}")
 
@@ -296,6 +292,17 @@ POWER_RTOL = 1e-13
 # largest number of (unsummed) entries one block-diagonal sweep operator
 # holds, counted over parameters times words
 CHUNK_NNZ = 1 << 17
+# largest dense complex array (rows times columns) a contract residual
+# builds, 4 GiB: coefficient_residual on F2 holds 172M entries at R = 9 and
+# 1.55G at R = 10
+DENSE_CHECK_CAP = 1 << 28
+
+
+def _check_dense(rows: int, cols: int, what: str) -> None:
+    """BallCapError before a rows x cols dense array past DENSE_CHECK_CAP."""
+    if rows * cols > DENSE_CHECK_CAP:
+        raise BallCapError(f"{what}: dense {rows} x {cols} array exceeds the cap of "
+                           f"{DENSE_CHECK_CAP} entries")
 
 
 class _SweepLayout(NamedTuple):
@@ -342,6 +349,9 @@ class TreeFamily:
         self.group = FreeGroup(rank)
         self.ball = build_ball(self.group, radius, cap=cap)
         self.radius = radius
+        # the Cauchy-Riemann probe: the first length-3 word, whose coefficient
+        # z^3 has third derivative 6, away from zero
+        self.cr_probe = self.ball.sphere(3)[0]
         n = len(self.ball)
         index = self.ball.index
         elements = self.ball.elements
@@ -675,6 +685,7 @@ class TreeFamilyPoint:
         ball = self.family.ball
         m = self._interior_count(self.radius - self.margin)
         n = len(ball)
+        _check_dense(m, n, "coefficient residual")
         W = np.zeros((m, n), dtype=complex)
         W[0, 0] = 1.0
         # V's basepoint entries: z^len(x_j) from the family's one power table
@@ -696,6 +707,7 @@ class TreeFamilyPoint:
         reported but means nothing: the operators are not unitary there.
         """
         m = self._interior_count(self.radius - self.margin)
+        _check_dense(m, m, "unitarity residual")
         worst = 0.0
         eye = sp.identity(m, dtype=complex, format="csr")
         for s in self.family.group.generators():
@@ -751,8 +763,7 @@ class TreeFamilyPoint:
 
     def contract_checks(self) -> dict:
         """All residuals in one dict; enforcement lives in run_contract_checks."""
-        ball = self.family.ball
-        probe = ball.sphere(3)[0]  # first length-3 word: third derivative is 6 z^0
+        probe = self.family.cr_probe
         h = min(1e-3, (1.0 - abs(self.z)) / 8.0)
         return {
             "coefficient_residual": self.coefficient_residual(),
@@ -784,14 +795,13 @@ class TreeFamilyPoint:
 def family_report(point: TreeFamilyPoint) -> dict:
     """Flat JSON-ready summary of one family point's residuals and bound;
     the Cauchy-Riemann residual is taken at step 1e-3."""
-    ball = point.family.ball
-    probe = ball.sphere(3)[0]
     return {
         "z": [point.z.real, point.z.imag],
         "R": point.radius,
-        "unitarity_residual": point.unitarity_residual(),
+        # the larger dense check first, so a ball past DENSE_CHECK_CAP fails early
         "coefficient_residual": point.coefficient_residual(),
-        "cr_residual": point.family.holomorphy_residual(probe, point.z, 1e-3),
+        "unitarity_residual": point.unitarity_residual(),
+        "cr_residual": point.family.holomorphy_residual(point.family.cr_probe, point.z, 1e-3),
         "empirical_bound": point.empirical_bound(),
     }
 
@@ -850,12 +860,8 @@ def fejer_bracket_tree(family: TreeFamily, N: int, r: float, d: int, *,
     upper, uflags = averaged_family_bound(family, N, r, d, quad_factor=quad_factor)
     if base.upper <= upper:
         return phi, base
-    return phi, NormBracket(
-        phi_id=base.phi_id, d=d, window_radius=base.window_radius,
-        lower=base.lower, upper=upper,
-        lower_provenance=base.lower_provenance,
-        upper_provenance="family-average-empirical",
-        flags=base.flags + uflags)
+    return phi, replace(base, upper=upper, upper_provenance="family-average-empirical",
+                        flags=base.flags + uflags)
 
 
 # ---------------------------------------------------------------------------

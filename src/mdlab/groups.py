@@ -75,6 +75,7 @@ class GroupRealization:
     """
 
     kind: str = "?"
+    DEFAULT_HORIZON = 12  # BFS horizon of word_length and pair_lengths given none
 
     def __init__(self) -> None:
         self._layers: list[list[Any]] = [[self.identity]]
@@ -85,7 +86,7 @@ class GroupRealization:
     def word_length(self, a, horizon: int | None = None) -> int:
         """BFS distance from the identity; overridden where a closed form exists."""
         self.validate(a)
-        horizon = 12 if horizon is None else horizon
+        horizon = self.DEFAULT_HORIZON if horizon is None else horizon
         while a not in self._lengths:
             r = len(self._layers)  # the first sphere not yet in _lengths
             # explored spheres are read at any radius; growth stops at the horizon
@@ -579,7 +580,7 @@ class _SL2Rows(GroupRealization):
 
     def _code_lengths(self, codes: np.ndarray, M: int, horizon: int | None) -> np.ndarray:
         """Word lengths of the rows with these sorted, distinct codes."""
-        horizon = 12 if horizon is None else horizon
+        horizon = self.DEFAULT_HORIZON if horizon is None else horizon
         lengths = np.empty(len(codes), dtype=np.intp)
         found, r = 0, 0
         while found < len(codes):

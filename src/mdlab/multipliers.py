@@ -99,8 +99,6 @@ class Multiplier:
 
     def __init__(self, group: GroupRealization, kind: str, *, support=None,
                  coeffs=None, func=None, name: str = "phi"):
-        if kind not in ("finite", "radial", "callable"):
-            raise MultiplierError(f"unknown multiplier kind {kind!r}")
         self.group = group
         self.kind = kind
         self.name = name
@@ -112,8 +110,6 @@ class Multiplier:
         elif kind == "radial":
             self._coeffs = [complex(c) for c in (coeffs or [])]
         else:
-            if func is None:
-                raise MultiplierError("callable multiplier needs func")
             self._func = func
 
     @classmethod
@@ -426,8 +422,7 @@ def _checked_rep(group, pi, elements, *, isometries: bool):
     return as_matrix
 
 
-def certificate_from_unitary_rep(group, pi, xi, eta, elements,
-                                 window_member=None) -> MatrixRepCertificate:
+def certificate_from_unitary_rep(group, pi, xi, eta, elements) -> MatrixRepCertificate:
     """Wrap a representation after checking it actually is one.
 
     Verifies pi(e) = I, pi(s)pi(t) = pi(st), and pi(t)* pi(t) = I on the
@@ -439,12 +434,10 @@ def certificate_from_unitary_rep(group, pi, xi, eta, elements,
     eta = np.asarray(eta, dtype=complex).ravel()
     _checked_rep(group, pi, list(elements), isometries=True)
     return MatrixRepCertificate(group=group, pi=pi, xi=xi, eta=eta,
-                                pi_norm=1.0, pi_provenance="unitary",
-                                window_member=window_member)
+                                pi_norm=1.0, pi_provenance="unitary")
 
 
-def certificate_from_bounded_rep(group, pi, xi, eta, elements,
-                                 window_member=None) -> MatrixRepCertificate:
+def certificate_from_bounded_rep(group, pi, xi, eta, elements) -> MatrixRepCertificate:
     """Same wrapping for a uniformly bounded (not unitary) pi.
 
     Multiplicativity is still required to 1e-12; sup |pi| is estimated as
@@ -458,8 +451,7 @@ def certificate_from_bounded_rep(group, pi, xi, eta, elements,
     pi_norm = max(float(np.linalg.norm(as_matrix(t), 2)) for t in elements)
     pi_norm = max(pi_norm, 1.0)  # pi(e) = I already forces sup >= 1
     return MatrixRepCertificate(group=group, pi=pi, xi=xi, eta=eta,
-                                pi_norm=pi_norm, pi_provenance="sampled",
-                                window_member=window_member)
+                                pi_norm=pi_norm, pi_provenance="sampled")
 
 
 def constant_certificate(group, value) -> MatrixRepCertificate:
@@ -467,8 +459,7 @@ def constant_certificate(group, value) -> MatrixRepCertificate:
     value = complex(value)
     return MatrixRepCertificate(
         group=group, pi=lambda t: np.ones(1), xi=np.ones(1),
-        eta=np.array([value]), pi_norm=1.0, pi_provenance="unitary",
-        window_member=None, kind="const")
+        eta=np.array([value]), pi_norm=1.0, pi_provenance="unitary", kind="const")
 
 
 def _circle_grid(n: int, Q: int):
@@ -568,8 +559,7 @@ def _density_certificate(group: ZnGroup, h: np.ndarray, w: float,
         raise CertificateError(f"density takes value {h.min()}; must be >= 0")
     root = np.sqrt(w * np.clip(h, 0.0, None)).astype(complex)
     return MatrixRepCertificate(group=group, pi=pi, xi=root.copy(), eta=root,
-                                pi_norm=1.0, pi_provenance="unitary",
-                                window_member=None, kind="density")
+                                pi_norm=1.0, pi_provenance="unitary", kind="density")
 
 
 def density_quadrature_certificate(group: ZnGroup, density: Callable,
@@ -789,18 +779,16 @@ def regular_compression_norm(group, g: Callable, elements) -> float:
 # quotient toolkit
 # ---------------------------------------------------------------------------
 
-def restrict_multiplier(phi: Callable, embed: Callable, subgroup,
-                        name: str = "phi|H") -> Multiplier:
+def restrict_multiplier(phi: Callable, embed: Callable, subgroup) -> Multiplier:
     """Pull phi back along an injective homomorphism embed: H -> G."""
-    return Multiplier.from_callable(subgroup, lambda h: phi(embed(h)), name=name)
+    return Multiplier.from_callable(subgroup, lambda h: phi(embed(h)), name="phi|H")
 
 
-def inflate_multiplier(psi: Callable, quotient: QuotientStructure,
-                       name: str = "psi.q") -> Multiplier:
+def inflate_multiplier(psi: Callable, quotient: QuotientStructure) -> Multiplier:
     """Lift psi on G/Gamma to psi(q(t)) on G."""
     return Multiplier.from_callable(quotient.ambient,
                                     lambda t: psi(quotient.project(t)),
-                                    name=name)
+                                    name="psi.q")
 
 
 def coset_average(quotient: QuotientStructure, f) -> dict:
@@ -847,8 +835,7 @@ def extension_multiplier(quotient: QuotientStructure, f: dict,
     return Multiplier.from_callable(g, value, name=name)
 
 
-def extension_limit(quotient: QuotientStructure, f: dict,
-                    name: str = "ext-limit") -> Multiplier:
+def extension_limit(quotient: QuotientStructure, f: dict) -> Multiplier:
     """The k -> infinity end of the extension: subgroup data replaced by 1.
 
     Aggregates f over cosets once; the value at t is the aggregate at
@@ -860,7 +847,7 @@ def extension_limit(quotient: QuotientStructure, f: dict,
     def value(t):
         return s.get(quotient.quotient_group.inverse(quotient.project(t)), 0)
 
-    return Multiplier.from_callable(quotient.ambient, value, name=name)
+    return Multiplier.from_callable(quotient.ambient, value, name="ext-limit")
 
 
 # ---------------------------------------------------------------------------
@@ -882,8 +869,7 @@ class NormBracket:
 
 
 def compute_bracket(group, phi, d: int, ball, certificate=None,
-                    phi_id: str | None = None, sdp_tol: float = 1e-8,
-                    sdp_max_iter: int = 100) -> NormBracket:
+                    sdp_tol: float = 1e-8, sdp_max_iter: int = 100) -> NormBracket:
     """Assemble the best available bracket for one multiplier and order.
 
     Lower route: sup |phi| (exact for finite/radial data, window sup
@@ -929,7 +915,7 @@ def compute_bracket(group, phi, d: int, ball, certificate=None,
 
     if lower > upper + 1e-9 * max(1.0, abs(upper)):
         flags.append("bracket-inverted")
-    name = phi_id or (phi.name if isinstance(phi, Multiplier) else "phi")
+    name = phi.name if isinstance(phi, Multiplier) else "phi"
     return NormBracket(phi_id=name, d=d, window_radius=ball.radius,
                        lower=lower, upper=upper, lower_provenance=lower_prov,
                        upper_provenance=upper_prov, flags=tuple(flags))
@@ -947,7 +933,7 @@ def write_brackets_csv(fh, rows, header_lines=()) -> None:
         fh.write(",".join([
             r.phi_id, str(r.d), str(r.window_radius),
             FLOAT_FMT % r.lower,
-            "inf" if math.isinf(r.upper) else FLOAT_FMT % r.upper,
+            FLOAT_FMT % r.upper,
             r.lower_provenance, r.upper_provenance,
             ";".join(r.flags)]) + "\n")
 

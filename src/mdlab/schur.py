@@ -133,8 +133,8 @@ def certificate_lower_bound(A: np.ndarray, mu: np.ndarray, nu: np.ndarray,
     return float(-2.0 * np.real(np.sum(A * R.conj())))
 
 
-def psd_check(M: np.ndarray, tol: float = 1e-10) -> tuple[bool, float]:
-    """(is PSD up to tol, smallest eigenvalue) for a Hermitian matrix.
+def psd_check(M: np.ndarray) -> tuple[bool, float]:
+    """(is PSD up to 1e-10, smallest eigenvalue) for a Hermitian matrix.
 
     A complex matrix whose imaginary part is all zero goes to the real
     symmetric eigensolver, which is several times faster.
@@ -145,7 +145,7 @@ def psd_check(M: np.ndarray, tol: float = 1e-10) -> tuple[bool, float]:
     if np.iscomplexobj(M) and not np.any(M.imag):
         M = M.real
     lam = float(np.linalg.eigvalsh((M + M.conj().T) / 2.0)[0])
-    return lam >= -tol, lam
+    return lam >= -1e-10, lam
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from mdlab import families
 from mdlab.cli import SCHUR_SIZE_CAP, main
 from mdlab.groups import ZnGroup
 from mdlab.families import fejer_multiplier
@@ -134,6 +135,17 @@ class TestSchur:
         assert main(["schur", "--matrix", str(m), "--out", str(tmp_path)]) == 3
         assert "size cap" in capsys.readouterr().err
         assert not (tmp_path / "witness_x.csv").exists()
+
+    def test_iteration_cap_exits_4_and_writes_no_witness(self, tmp_path, monkeypatch,
+                                                         capsys):
+        m = tmp_path / "a.csv"
+        m.write_text("1,2,0\n0,1,3\n4,0,1\n")
+        monkeypatch.setenv("MDLAB_MAX_ITER", "1")
+        out = tmp_path / "o"
+        assert main(["schur", "--matrix", str(m), "--out", str(out)]) == 4
+        assert "solver failure" in capsys.readouterr().err
+        assert not (out / "witness_x.csv").exists()
+        assert not (out / "witness_y.csv").exists()
 
     def test_malformed_csv(self, tmp_path):
         m = tmp_path / "bad.csv"
@@ -373,6 +385,14 @@ class TestFejer:
                      "--r-list", "0.5", "--family-radius", "5",
                      "--out", str(tmp_path)]) == 3
 
+    def test_one_degree_pairs_with_every_radius(self, tmp_path, groups):
+        out = tmp_path / "o"
+        assert main(["fejer", "--group", groups["z"], "--N-list", "8",
+                     "--r-list", "0.5,0.7,0.9", "--out", str(out)]) == 0
+        rows = data_lines(out / "fejer_convergence.csv")
+        assert [r.split(",")[1:3] for r in rows[1:]] == [
+            ["8", "0.5"], ["8", "0.7"], ["8", "0.9"]]
+
     def test_mismatched_grid(self, tmp_path, groups):
         assert main(["fejer", "--group", groups["z"], "--N-list", "4,8",
                      "--r-list", "0.5,0.7,0.9", "--out", str(tmp_path)]) == 2
@@ -470,6 +490,14 @@ class TestReport:
         assert main(["report", "-R", "3", "--z-list", f"0.5,{z}",
                      "--out", str(out)]) == 2
         assert "|z| < 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_dense_check_cap_exits_3_before_writing(self, tmp_path, monkeypatch,
+                                                    capsys):
+        monkeypatch.setattr(families, "DENSE_CHECK_CAP", 1000)
+        out = tmp_path / "o"
+        assert main(["report", "-R", "4", "--out", str(out)]) == 3
+        assert "resource cap" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unparseable_grid(self, tmp_path):

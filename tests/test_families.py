@@ -14,7 +14,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdlab.groups import FreeGroup, ZnGroup, build_ball, gram_matrix
+from mdlab.groups import BallCapError, FreeGroup, ZnGroup, build_ball, gram_matrix
 from mdlab.multipliers import (
     Multiplier,
     MultiplierError,
@@ -540,6 +540,11 @@ class TestHolomorphy:
 
 
 class TestFamilyReport:
+    def test_dense_checks_past_the_cap_raise_before_allocating(self, monkeypatch):
+        monkeypatch.setattr(families, "DENSE_CHECK_CAP", 1000)
+        with pytest.raises(BallCapError, match="coefficient residual"):
+            TreeFamily(2, 4).point(0.5)
+
     def test_keys_and_roundtrip(self):
         pt = FAM3.point(0.5, check=False)
         rep = family_report(pt)
@@ -567,6 +572,13 @@ class TestTreeBracket:
         assert br.lower == pytest.approx(1.0, abs=1e-6)
         assert br.upper >= br.lower - 1e-8
         assert math.isfinite(br.upper)
+
+    def test_order_one_keeps_the_exact_sup_bracket(self):
+        # at d = 1 the sup is exact on both ends, below any averaged bound
+        phi, br = fejer_bracket_tree(FAM3, 2, 0.5, 1)
+        assert (br.lower, br.upper) == (1.0, 1.0)
+        assert br.lower_provenance == br.upper_provenance == "sup-exact"
+        assert "empirical" not in br.flags
 
     def test_averaged_family_bound_validation(self):
         with pytest.raises(FamilyError):

@@ -27,6 +27,7 @@ from mdlab.groups import (
     load_group,
 )
 
+from mdlab import groups
 from mdlab.multipliers import Multiplier
 
 from strategies import GROUP_KINDS, group_descriptions, json_values, matrix_json, semidirect_json
@@ -262,6 +263,12 @@ class TestSL2Z:
         with pytest.raises(BallTooSmallError):
             g.word_length(t40, horizon=6)
 
+    def test_cap_after_word_length_explored_the_ball(self):
+        g = SL2Z()
+        assert g.word_length(((1, 6), (0, 1))) == 6  # T^6: the BFS goes to radius 6
+        with pytest.raises(BallCapError):
+            build_ball(g, 6, cap=10)
+
     def test_json_round_trip(self):
         g = SL2Z()
         m = ((2, 1), (1, 1))
@@ -278,6 +285,24 @@ def test_matrix_balls_match_the_python_bfs_sphere_by_sphere(cls, radius):
     for r, sphere in enumerate(spheres):
         assert ball.sphere(r) == sphere
     assert ball.lengths == [r for r, sphere in enumerate(spheres) for _ in sphere]
+
+
+# the entries reach 5 at SL2Z's sphere 5 and 2 at the semidirect product's
+# sphere 2, so these bounds send the outer spheres' growth to Python ints
+@pytest.mark.parametrize("cls,radius,int64_max", [(SL2Z, 6, 8), (SL2ZSemidirect, 3, 4)])
+def test_python_int_bfs_matches_the_int64_route(cls, radius, int64_max, monkeypatch):
+    fast = cls()
+    fast_ball = build_ball(fast, radius)
+    monkeypatch.setattr(groups, "_INT64_MAX", int64_max)
+    slow = cls()
+    slow_ball = build_ball(slow, radius)
+    assert slow._spheres[1].dtype == np.int64 and slow._spheres[-1].dtype == object
+    assert slow_ball.elements == fast_ball.elements
+    assert slow_ball.lengths == fast_ball.lengths
+    window = fast_ball.elements_up_to(radius // 2)
+    assert np.array_equal(slow.pair_lengths(window), fast.pair_lengths(window))
+    assert ([slow.word_length(x) for x in fast_ball.elements]
+            == [fast.word_length(x) for x in fast_ball.elements])
 
 
 sl2_words = st.lists(st.integers(0, 3), min_size=0, max_size=8)
