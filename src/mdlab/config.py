@@ -9,6 +9,7 @@ reproduced from the artifact alone.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field, fields, replace
 
@@ -48,17 +49,30 @@ DEFAULTS = RunConfig()
 
 _ENV_PREFIX = "MDLAB_"
 
+# What each numeric field must satisfy; seed is free.  The F2 smoothing route
+# asks for quad_factor >= 4 on top of this (families.fejer_nodes).
+_RANGES = {
+    "tol": (lambda v: math.isfinite(v) and v > 0, "positive and finite"),
+    "max_iter": (lambda v: v >= 0, ">= 0"),
+    "ball_cap": (lambda v: v >= 1, ">= 1"),
+    "quad_factor": (lambda v: v >= 1, ">= 1"),
+    "window_radius": (lambda v: v >= 0, ">= 0"),
+    "success_residual": (lambda v: math.isfinite(v) and v >= 0, "finite and >= 0"),
+}
+
 
 def resolve_config(cli_overrides: dict | None = None, env: dict | None = None) -> RunConfig:
     """Layer environment variables and CLI flags over the defaults.
 
     Environment variables are named MDLAB_<FIELD> (upper case), e.g.
     MDLAB_TOL=1e-8 or MDLAB_BALL_CAP=100000.  Unknown MDLAB_ variables are
-    rejected rather than ignored, so typos fail loudly.
+    rejected rather than ignored, so typos fail loudly, and so are values
+    outside a field's range, naming the variable or flag that set them.
     """
     env = os.environ if env is None else env
     known = {f.name: f for f in fields(RunConfig)}
     updates: dict = {}
+    source: dict = {}
     for key, raw in sorted(env.items()):
         if not key.startswith(_ENV_PREFIX):
             continue
@@ -68,6 +82,7 @@ def resolve_config(cli_overrides: dict | None = None, env: dict | None = None) -
         if name not in known:
             raise ValueError(f"unknown configuration variable {key}")
         updates[name] = _parse(known[name].type, raw, key)
+        source[name] = key
     if cli_overrides:
         for name, value in cli_overrides.items():
             if value is None:
@@ -75,6 +90,12 @@ def resolve_config(cli_overrides: dict | None = None, env: dict | None = None) -
             if name not in known:
                 raise ValueError(f"unknown configuration field {name}")
             updates[name] = value
+            source[name] = "--" + name.replace("_", "-")
+    for name, value in updates.items():
+        if name in _RANGES:
+            ok, what = _RANGES[name]
+            if not ok(value):
+                raise ValueError(f"bad value for {source[name]}: {value!r} (must be {what})")
     return replace(DEFAULTS, **updates)
 
 

@@ -37,7 +37,9 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
-import scipy.sparse as sp
+# scipy.sparse is imported inside the tree family's five operator builders
+# only: no other route uses it, and loading it costs every process about
+# 0.3 s and 15 MB resident on a 2-vCPU VM (BENCH_lazy_sparse.json).
 
 from mdlab.config import fmt
 from mdlab.groups import Ball, BallCapError, FreeGroup, GroupRealization, ZnGroup, build_ball
@@ -446,6 +448,8 @@ class TreeFamily:
 
     def _pair(self, vals: np.ndarray, table: np.ndarray):
         """Sparse (V, V^-1) from _values(z); both are exact by pattern."""
+        import scipy.sparse as sp
+
         n = len(self.ball)
         V = sp.csr_matrix((vals, (self._v_rows, self._v_cols)), shape=(n, n))
         Vinv = sp.csc_matrix((table[self._iv_kind], (self._iv_rows, self._iv_cols)),
@@ -530,6 +534,8 @@ class TreeFamily:
         rule and the shared POWER_ITERS cap; a block that has stopped keeps
         its value while the others go on.
         """
+        import scipy.sparse as sp
+
         g = vals.shape[0]
         K, m, nrows = layout.words, layout.cols, layout.rows
         data = vals[:, layout.pos] * inv[:, layout.kind]
@@ -657,6 +663,8 @@ class TreeFamilyPoint:
 
     def pi_matrix(self, s) -> sp.csr_matrix:
         """Generator operator as a sparse matrix (built once, then cached)."""
+        import scipy.sparse as sp
+
         if s not in self._pi_cache:
             if s not in self.family._perm:
                 raise FamilyError(f"{s!r} is not a generator")
@@ -706,6 +714,8 @@ class TreeFamilyPoint:
         the operator norm, erring conservative.  At non-real z the value is
         reported but means nothing: the operators are not unitary there.
         """
+        import scipy.sparse as sp
+
         m = self._interior_count(self.radius - self.margin)
         _check_dense(m, m, "unitarity residual")
         worst = 0.0
@@ -724,6 +734,8 @@ class TreeFamilyPoint:
         of generator matrices (and none of their rerouting) is involved.
         The index map x -> index[t.x] comes from the family's table.
         """
+        import scipy.sparse as sp
+
         self.family.group.validate(t)
         ell = len(t)
         if ell > self.radius:

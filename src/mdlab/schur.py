@@ -265,6 +265,8 @@ def schur_norm(A, tol: float = 1e-8, max_iter: int = 100) -> SchurSolution:
     when no step improves either end (tolerances below about 1e-11 are not
     reliably reachable in double precision).
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     A = np.asarray(A)
     if A.ndim != 2:
         raise ValueError(f"expected a 2d matrix, got shape {A.shape}")

@@ -6,8 +6,11 @@ import json
 import math
 import os
 import struct
+import subprocess
+import sys
 import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -548,9 +551,45 @@ class TestHarness:
                      "0.001", "--out", str(out)]) == 0
         assert "tol=0.001" in (out / "ball.csv").read_text().splitlines()[0]
 
+    @pytest.mark.parametrize("env,flags,source", [
+        ({}, ["--tol", "nan"], "--tol"),
+        ({"MDLAB_TOL": "-1"}, [], "MDLAB_TOL"),
+        ({"MDLAB_QUAD_FACTOR": "0"}, [], "MDLAB_QUAD_FACTOR"),
+        ({"MDLAB_SUCCESS_RESIDUAL": "nan"}, [], "MDLAB_SUCCESS_RESIDUAL"),
+        ({"MDLAB_BALL_CAP": "-5"}, [], "MDLAB_BALL_CAP"),
+    ])
+    def test_out_of_range_setting_exits_2_before_any_report(
+            self, tmp_path, groups, monkeypatch, capsys, env, flags, source):
+        for key, raw in env.items():
+            monkeypatch.setenv(key, raw)
+        assert main(["fejer", "--group", groups["z"], "--N-list", "4",
+                     "--r-list", "0.5", "--out", str(tmp_path)] + flags) == 2
+        assert f"bad value for {source}" in capsys.readouterr().err
+        assert not (tmp_path / "fejer_convergence.csv").exists()
+
     def test_bad_flag_value(self, tmp_path, groups):
         assert main(["fejer", "--group", groups["z"], "--N-list", "x",
                      "--r-list", "0.9", "--out", str(tmp_path)]) == 2
 
     def test_unknown_subcommand(self):
         assert main(["frobnicate"]) == 2
+
+
+def test_cli_import_leaves_scipy_sparse_to_the_tree_family():
+    """Only the tree family loads scipy.sparse, at its first operator.
+
+    Run in a fresh interpreter: this process has loaded it already, and a
+    later module-level import anywhere under mdlab.cli would show here.
+    """
+    code = ("import sys\n"
+            "import mdlab.cli\n"
+            "assert 'scipy.sparse' not in sys.modules, 'loaded by import mdlab.cli'\n"
+            "from mdlab.families import TreeFamily\n"
+            "bounds = TreeFamily(2, 3).empirical_bounds([0.5])\n"
+            "assert bounds.shape == (1,) and bounds[0] >= 1.0, bounds\n"
+            "assert 'scipy.sparse' in sys.modules\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

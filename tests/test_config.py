@@ -37,3 +37,31 @@ def test_deleted_names_fail_loudly(name):
 
 def test_path_conveniences_pass_through():
     assert resolve_config(env={"MDLAB_GROUP": "g.json", "MDLAB_OUT": "o"}) == DEFAULTS
+
+
+@pytest.mark.parametrize("name,raw", [
+    ("tol", "nan"), ("tol", "inf"), ("tol", "-1"), ("tol", "0"),
+    ("max_iter", "-1"),
+    ("ball_cap", "0"), ("ball_cap", "-5"),
+    ("quad_factor", "0"), ("quad_factor", "-3"),
+    ("window_radius", "-1"),
+    ("success_residual", "nan"), ("success_residual", "inf"),
+    ("success_residual", "-0.5"),
+])
+def test_out_of_range_values_name_their_source(name, raw):
+    key = f"MDLAB_{name.upper()}"
+    with pytest.raises(ValueError, match=f"bad value for {key}: "):
+        resolve_config(env={key: raw})
+    value = type(getattr(DEFAULTS, name))(raw)
+    flag = "--" + name.replace("_", "-")
+    with pytest.raises(ValueError, match=f"bad value for {flag}: "):
+        resolve_config(cli_overrides={name: value}, env={})
+
+
+@pytest.mark.parametrize("name,raw", [
+    ("tol", "1e-300"), ("max_iter", "0"), ("ball_cap", "1"), ("quad_factor", "1"),
+    ("window_radius", "0"), ("success_residual", "0"), ("seed", "-7"),
+])
+def test_range_edges_are_accepted(name, raw):
+    cfg = resolve_config(env={f"MDLAB_{name.upper()}": raw})
+    assert getattr(cfg, name) == type(getattr(DEFAULTS, name))(raw)

@@ -172,6 +172,14 @@ def test_nonconvergence_raises():
         schur_norm(A, tol=1e-12, max_iter=3)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf])
+def test_tolerance_must_be_positive_and_finite(tol):
+    # library callers (m2_lower_bound, compute_bracket) reach the solver
+    # without the config layer's range check
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        schur_norm(np.eye(3), tol=tol)
+
+
 def test_nonsquare_and_single():
     assert abs(schur_norm(np.array([[3.0]])).value - 3.0) < 1e-7
     rng = np.random.default_rng(13)
