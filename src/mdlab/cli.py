@@ -142,7 +142,9 @@ def _read_matrix_any(path: str):
 
 # Largest row or column count `mdlab schur` solves.  Measured on seeded n x n
 # Gaussians with 2 vCPUs: 8.2 s real and 13.5 s complex at n = 400 (four
-# Newton steps each), against 4.3 s and 5.2 s at n = 300.
+# Newton steps each), against 4.3 s and 5.2 s at n = 300.  Symmetric input is
+# solved on a = b: at n = 400, a real A + A^T takes 4.4 s and a complex C + C*
+# 8.2 s.
 SCHUR_SIZE_CAP = 400
 
 

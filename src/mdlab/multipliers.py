@@ -41,7 +41,7 @@ from mdlab.groups import (
     BallCapError, FiniteGroup, GroupError, GroupRealization, QuotientStructure, ZnGroup,
     gram_matrix,
 )
-from mdlab.schur import schur_norm
+from mdlab.schur import is_symmetric, schur_norm
 
 __all__ = [
     "WINDOW_CAP", "GRID_NODE_CAP", "MultiplierError", "CertificateError",
@@ -705,12 +705,29 @@ def m2_lower_bound(group, phi: Callable, elements, tol: float = 1e-8,
     """Window lower bound for every order d >= 2.
 
     Builds the Gram-style matrix phi(s^-1 t) over the window (or reuses a
-    precomputed one) and returns the price of the factorization-norm dual
-    certificate, less its rounding allowance, together with the solve
-    diagnostics.  The bound holds whatever the solve did; tol only sets how
-    close to the window norm it gets.
+    precomputed one, which must be n x n for the n elements) and returns the
+    price of the factorization-norm dual certificate, less its rounding
+    allowance, together with the solve diagnostics.  The bound holds
+    whatever the solve did; tol only sets how close to the window norm it
+    gets.
+
+    A Gram that is not symmetric is solved with its columns permuted s -> s^-1
+    when the window is closed under inverses and that matrix, entries
+    phi(s_i^-1 s_j^-1), is symmetric or Hermitian (on an abelian group it
+    always is symmetric): a column permutation keeps the norm, and the solver
+    halves its Newton system on symmetric input.
     """
-    A = gram_matrix(group, phi, list(elements)) if gram is None else gram
+    elements = list(elements)
+    n = len(elements)
+    A = gram_matrix(group, phi, elements) if gram is None else np.asarray(gram)
+    if A.shape != (n, n):
+        raise ValueError(f"gram must be {n} x {n} for the {n} window elements, "
+                         f"got shape {A.shape}")
+    if not is_symmetric(A):
+        index = {x: i for i, x in enumerate(elements)}
+        inv = [index.get(group.inverse(x)) for x in elements]
+        if None not in inv and is_symmetric(A[:, inv]):
+            A = A[:, inv]
     sol = schur_norm(A, tol=tol, max_iter=max_iter)
     lower = sol.lower_bound
     return lower, {
@@ -718,7 +735,7 @@ def m2_lower_bound(group, phi: Callable, elements, tol: float = 1e-8,
         "dual_lower": sol.lower_bound,
         "witness_upper": sol.upper_bound,
         "iterations": sol.iterations,
-        "window_size": len(A),
+        "window_size": n,
     }
 
 

@@ -27,6 +27,19 @@ then stays finite where the optimum puts zero weight on a nonzero row, and
 the floors, tol/8 of the mass on each side, cost the bounds a small part of
 tol.  All-zero rows and columns are dropped before the solve and get zero
 weight and zero witness rows.  Complex matrices are solved as they are.
+
+When the nonzero block equals its transpose or its conjugate transpose
+(radial multipliers on any group, and abelian windows once
+multipliers.m2_lower_bound has arranged the columns as s -> s^-1), swapping
+a and b leaves the trace norm unchanged.  It is concave in (a, b), being
+the least of the linear functions sum_i a_i |x_i|^2 / 2 + sum_j b_j |y_j|^2
+/ 2 over the factorizations of A, so its maximum lies on the diagonal a = b.
+The same Newton loop then runs on one weight vector: the gradient is
+(diag(USU*) + diag(VSV*)) / 2, there is one mass constraint, and the
+Hessian is S^T H S with S = [I; I], whose main product costs a quarter of
+the full one and whose eigenproblem has half the size.  The end of the solve
+is the same: the certificate is priced from scratch on A, and the witness is
+read off the final SVD, so mu equals nu.
 """
 
 from __future__ import annotations
@@ -40,7 +53,7 @@ import numpy as np
 __all__ = [
     "SolverError", "SchurSolution", "schur_norm",
     "certificate_lower_bound", "verify_witness", "witness_upper_bound",
-    "psd_check",
+    "psd_check", "is_symmetric",
     "write_matrix_csv", "read_matrix_csv",
     "write_matrix_binary", "read_matrix_binary",
 ]
@@ -148,6 +161,13 @@ def psd_check(M: np.ndarray) -> tuple[bool, float]:
     return lam >= -1e-10, lam
 
 
+def is_symmetric(A: np.ndarray) -> bool:
+    """A is square and equal to its transpose or its conjugate transpose,
+    exactly."""
+    return (A.ndim == 2 and A.shape[0] == A.shape[1]
+            and (np.array_equal(A, A.T) or np.array_equal(A, A.T.conj())))
+
+
 # ---------------------------------------------------------------------------
 # reduced dual
 # ---------------------------------------------------------------------------
@@ -184,7 +204,12 @@ class _Weights:
         self.upper = math.sqrt(float(np.max(self.P / a) * np.max(self.Q / b)))
 
 
-def _hessian(pt: _Weights) -> np.ndarray:
+def _pair_products(X: np.ndarray, k: np.ndarray, l: np.ndarray) -> np.ndarray:
+    """The columns conj(X_k) o X_l, one per pair (k, l)."""
+    return X.take(k, axis=1).conj() * X.take(l, axis=1)
+
+
+def _hessian(pt: _Weights, fold: bool = False) -> np.ndarray:
     """Hessian of (alpha, beta) -> ||B(a(1+alpha), b(1+beta))||_tr at 0.
 
     With E the first-order change of B and F = U* E V, the trace norm's
@@ -197,6 +222,11 @@ def _hessian(pt: _Weights) -> np.ndarray:
     complex Y read as interleaved real pairs makes it one real product.  The
     square roots in B add -diag(USU*)/4, -diag(VSV*)/4 and the cross term
     Re(conj(UV*) o B)/4.
+
+    fold (square B only) gives S^T H S with S = [I; I], the Hessian of
+    alpha -> ||B(a(1+alpha), b(1+alpha))||_tr: Y's column becomes
+    sqrt(2 c_kl) (conj(U_k) o U_l - conj(V_k) o V_l), with half the rows, so
+    the product costs a quarter.
     """
     m, n = pt.B.shape
     N, p = m + n, max(m, n)
@@ -204,18 +234,29 @@ def _hessian(pt: _Weights) -> np.ndarray:
     i = np.arange(p)
     k, l = np.nonzero((i[:, None] < i) & (sig[:, None] + sig > 0))
     weight = np.abs(sig[k] - sig[l]) / (2.0 * np.sqrt(sig[k] + sig[l]))   # sqrt(2 c_kl)
-    W = np.zeros((N, p), dtype=pt.U.dtype)
-    W[:m, :m] = pt.U
-    W[m:, :n] = pt.Vh.conj().T
-    H = np.zeros((N, N))
+    U, V = pt.U, pt.Vh.conj().T
+    if fold:
+        H = np.zeros((m, m))
+    else:
+        W = np.zeros((N, p), dtype=U.dtype)
+        W[:m, :m], W[m:, :n] = U, V
+        H = np.zeros((N, N))
     step = max(1, _HESSIAN_CHUNK // N)
     for j in range(0, k.size, step):
+        kc, lc = k[j:j + step], l[j:j + step]
+        if fold:
+            Y = _pair_products(U, kc, lc) - _pair_products(V, kc, lc)
+        else:
+            Y = _pair_products(W, kc, lc)
         # a complex chunk in C order reads as (re, im) pairs side by side
-        Y = W.take(k[j:j + step], axis=1).conj() * W.take(l[j:j + step], axis=1)
         Y = (Y * weight[j:j + step]).view(np.float64)
         H += Y @ Y.T
     r = pt.s.size
     cross = np.real((pt.U[:, :r] @ pt.Vh[:r]).conj() * pt.B) / 4.0
+    if fold:
+        H += cross + cross.T
+        H[i, i] -= (pt.P + pt.Q) / 4.0
+        return H
     H[:m, m:] = cross - H[:m, m:]
     H[m:, :m] = cross.T - H[m:, :m]
     H[np.arange(m), np.arange(m)] -= pt.P / 4.0
@@ -267,6 +308,9 @@ def schur_norm(A, tol: float = 1e-8, max_iter: int = 100) -> SchurSolution:
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)) \
+            or max_iter < 0:
+        raise ValueError(f"max_iter must be a nonnegative integer, got {max_iter!r}")
     A = np.asarray(A)
     if A.ndim != 2:
         raise ValueError(f"expected a 2d matrix, got shape {A.shape}")
@@ -302,10 +346,21 @@ def schur_norm(A, tol: float = 1e-8, max_iter: int = 100) -> SchurSolution:
     # 8 (m+n) 2^-53 ||A||_F covers the certificate's rounding: a PSD defect
     # of a few ulps in its block matrix and the summation error in its price
     allowance = 8.0 * (m + n) * 2.0 ** -53 * scale * float(np.linalg.norm(Ar))
-    fa, fb = tol / (8.0 * mr), tol / (8.0 * nr)
-    wa = np.full(mr, (1.0 - mr * fa) / mr)
-    wb = np.full(nr, (1.0 - nr * fb) / nr)
-    pt = _Weights(Ar, fa + wa, fb + wb)
+    # the weights, rows then columns, as a floor plus an excess w; on a
+    # symmetric or Hermitian block one weight per index serves both, a = b
+    fold = is_symmetric(Ar)
+    parts = [slice(0, mr)] if fold else [slice(0, mr), slice(mr, mr + nr)]
+    side = np.repeat(np.arange(len(parts)), [q.stop - q.start for q in parts])
+    count = np.bincount(side)[side]
+    floor = tol / (8.0 * count)
+    mass = 1.0 - count * floor
+    w = mass / count
+
+    def weights(w):
+        v = floor + w       # on the diagonal, v[:mr] and v[-nr:] are both v
+        return _Weights(Ar, v[:mr], v[-nr:])
+
+    pt = weights(w)
     delta = 1.0
     it = 0
     while True:
@@ -317,34 +372,34 @@ def schur_norm(A, tol: float = 1e-8, max_iter: int = 100) -> SchurSolution:
                 f"no convergence in {it} iterations "
                 f"(relative gap {gap:.3e}, tol {tol:.1e})")
         it += 1
-        # Newton in the relative weight changes alpha (rows, then columns),
-        # each side keeping sum(a alpha) = 0.  Weights within 1% of their
-        # floor whose witness rows are shorter than the value stay put.
-        a, w = np.concatenate([pt.a, pt.b]), np.concatenate([wa, wb])
-        grad = np.concatenate([pt.P, pt.Q]) / 2.0
-        free = (w >= 0.01 * a) | (grad >= 0.5 * pt.value * a)
-        side = np.arange(mr + nr) < mr
+        # Newton in the relative weight changes alpha, each side keeping
+        # sum(a alpha) = 0.  Weights within 1% of their floor whose witness
+        # rows are shorter than the value stay put.
+        a = floor + w
+        if fold:    # each weight moves a row and a column
+            grad, reach = (pt.P + pt.Q) / 2.0, pt.value * a
+        else:
+            grad, reach = np.concatenate([pt.P, pt.Q]) / 2.0, 0.5 * pt.value * a
+        free = (w >= 0.01 * a) | (grad >= reach)
         # solve in beta = sqrt(a) alpha, along range(Z): there every
         # weight's share of the gradient is on the same footing however
         # small the weight, which the last digits of the witness need
         root = np.sqrt(a[free])
-        constraints = np.zeros((root.size, 2))
-        constraints[side[free], 0] = root[side[free]]
-        constraints[~side[free], 1] = root[~side[free]]
-        Z = np.linalg.qr(constraints, mode="complete")[0][:, 2:]
-        H = _hessian(pt)[np.ix_(free, free)] / np.outer(root, root)
+        constraints = np.zeros((root.size, len(parts)))
+        constraints[np.arange(root.size), side[free]] = root
+        Z = np.linalg.qr(constraints, mode="complete")[0][:, len(parts):]
+        H = _hessian(pt, fold)[np.ix_(free, free)] / np.outer(root, root)
         slack = 4.0 * 2.0 ** -52 * pt.value
         for _ in range(12):
-            alpha = np.zeros(mr + nr)
+            alpha = np.zeros(a.size)
             beta, predicted = _newton_step(H, grad[free] / root, Z, root, delta)
             alpha[free] = beta / root
             # a weight's excess over the floor moves by a * alpha, but
             # shrinks at most tenfold
             w2 = w * np.maximum(1.0 + a * alpha / w, _SHRINK)
-            wa2, wb2 = w2[:mr], w2[mr:]
-            wa2 *= (1.0 - mr * fa) / wa2.sum()
-            wb2 *= (1.0 - nr * fb) / wb2.sum()
-            trial = _Weights(Ar, fa + wa2, fb + wb2)
+            for q in parts:
+                w2[q] *= mass[q.start] / w2[q].sum()
+            trial = weights(w2)
             gain = trial.value - pt.value
             if gain > slack or (gain >= -slack and trial.upper < pt.upper):
                 if gain > slack and gain < 0.25 * predicted:
@@ -357,7 +412,7 @@ def schur_norm(A, tol: float = 1e-8, max_iter: int = 100) -> SchurSolution:
             raise SolverError(
                 f"no step improves either bound after {it} iterations "
                 f"(relative gap {gap:.3e}, tol {tol:.1e})")
-        pt, wa, wb = trial, wa2, wb2
+        pt, w = trial, w2
 
     r = pt.s.size
     half_a, half_b = np.sqrt(pt.a), np.sqrt(pt.b)

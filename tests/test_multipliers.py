@@ -20,8 +20,9 @@ from mdlab.groups import (
     SL2ZSemidirect,
     ZnGroup,
     build_ball,
+    gram_matrix,
 )
-from mdlab import multipliers
+from mdlab import multipliers, schur
 from mdlab.multipliers import (
     CertificateError,
     LatticeShiftCertificate,
@@ -471,6 +472,51 @@ class TestLowerBounds:
             values.append(info["schur_value"])
         assert values[0] <= values[1] + 2e-9
         assert values[1] <= values[2] + 2e-9
+
+    @staticmethod
+    def _captured(monkeypatch, group, phi, elements, tol=1e-8):
+        """m2_lower_bound's lower and the matrix it handed the solver."""
+        seen = []
+
+        def capture(A, **kw):
+            seen.append(A)
+            return schur.schur_norm(A, **kw)
+
+        monkeypatch.setattr(multipliers, "schur_norm", capture)
+        lower, _ = m2_lower_bound(group, phi, elements, tol=tol)
+        (A,) = seen
+        gram = gram_matrix(group, phi, elements)
+        direct = schur.schur_norm(gram, tol=tol)
+        assert abs(lower - direct.lower_bound) <= tol * max(1.0, direct.upper_bound)
+        return A, gram
+
+    def test_abelian_window_closed_under_inverses_is_solved_symmetric(self, monkeypatch):
+        phi = Multiplier.finite(Z2, {(0, 0): 1.0, (1, 0): 0.5, (0, 1): -0.25,
+                                     (1, 1): 0.75j}, name="skew")
+        A, gram = self._captured(monkeypatch, Z2, phi, build_ball(Z2, 2).elements)
+        assert not schur.is_symmetric(gram)
+        assert schur.is_symmetric(A)
+
+    def test_window_not_closed_under_inverses_keeps_the_gram(self, monkeypatch):
+        A, gram = self._captured(monkeypatch, Z, indicator01(), [(k,) for k in range(6)])
+        assert np.array_equal(A, gram)
+
+    def test_nonabelian_window_without_a_symmetric_arrangement_keeps_the_gram(
+            self, monkeypatch):
+        G = SL2Z()
+        ball = build_ball(G, 2)
+        values = {x: 0.3 + 0.1 * i for i, x in enumerate(ball.elements[1:6])}
+        values[G.identity] = 1.0
+        phi = Multiplier.finite(G, values, name="lopsided")
+        A, gram = self._captured(monkeypatch, G, phi, ball.elements)
+        inv = [ball.index[G.inverse(x)] for x in ball.elements]
+        assert not schur.is_symmetric(gram) and not schur.is_symmetric(gram[:, inv])
+        assert np.array_equal(A, gram)
+
+    def test_gram_must_match_the_window(self):
+        gram = gram_matrix(Z, indicator01(), build_ball(Z, 3).elements)
+        with pytest.raises(ValueError, match="gram must be 3 x 3"):
+            m2_lower_bound(Z, indicator01(), [(0,), (1,), (2,)], gram=gram)
 
 
 class TestPairingAndCstar:

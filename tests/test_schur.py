@@ -24,6 +24,7 @@ from mdlab.schur import (
     psd_check,
     read_matrix_binary,
     read_matrix_csv,
+    is_symmetric,
     schur_norm,
     verify_witness,
     witness_upper_bound,
@@ -178,6 +179,21 @@ def test_tolerance_must_be_positive_and_finite(tol):
     # without the config layer's range check
     with pytest.raises(ValueError, match="tol must be positive and finite"):
         schur_norm(np.eye(3), tol=tol)
+
+
+@pytest.mark.parametrize("max_iter", [-1, 2.5, None, True])
+def test_max_iter_must_be_a_nonnegative_integer(max_iter):
+    # a negative or fractional cap would never equal the iteration count
+    A = np.random.default_rng(12).normal(size=(30, 30))
+    with pytest.raises(ValueError, match="max_iter must be a nonnegative integer"):
+        schur_norm(A, max_iter=max_iter)
+
+
+def test_max_iter_zero_and_numpy_integers():
+    A = np.random.default_rng(12).normal(size=(4, 4))
+    with pytest.raises(SolverError):
+        schur_norm(A, max_iter=0)
+    assert schur_norm(A, max_iter=np.int64(100)).gap <= 1e-8
 
 
 def test_nonsquare_and_single():
@@ -542,3 +558,71 @@ def test_complex_hessian_memory():
         tracemalloc.stop()
     assert H.shape == (400, 400) and np.all(np.isfinite(H))
     assert peak <= 64 * 2 ** 20
+
+
+# ---------------------------------------------------------------------------
+# symmetric input: the solve on the diagonal a = b
+# ---------------------------------------------------------------------------
+
+def _symmetric_cases():
+    rng = np.random.default_rng(40)
+    real = rng.normal(size=(9, 9))
+    cplx = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    zeros = rng.normal(size=(7, 7))
+    zeros = zeros + zeros.T
+    zeros[[1, 4]] = 0.0
+    zeros[:, [1, 4]] = 0.0
+    return [("real-symmetric", real + real.T),
+            ("complex-symmetric", cplx + cplx.T),
+            ("hermitian", cplx + cplx.conj().T),
+            ("zero-rows-and-columns", zeros)]
+
+
+def _solve_recording_folds(A, monkeypatch):
+    """schur_norm(A) and the fold flag of every Hessian it assembled."""
+    folds = []
+    hessian = schur._hessian
+
+    def recording(pt, fold=False):
+        folds.append(fold)
+        return hessian(pt, fold)
+
+    monkeypatch.setattr(schur, "_hessian", recording)
+    return schur_norm(A), folds
+
+
+@pytest.mark.parametrize("name,A", _symmetric_cases(), ids=lambda v: v if isinstance(v, str) else "")
+def test_symmetric_input_is_solved_on_the_diagonal(name, A, monkeypatch):
+    assert is_symmetric(A)
+    sol, folds = _solve_recording_folds(A, monkeypatch)
+    assert folds and all(folds)
+    _check_converged(sol, A)
+    assert np.array_equal(sol.mu, sol.nu)
+    # the same norm through the general route, on columns in another order
+    perm = np.random.default_rng(43).permutation(A.shape[1])
+    B = A[:, perm]
+    assert not is_symmetric(B)
+    other, folds = _solve_recording_folds(B, monkeypatch)
+    assert folds and not any(folds)
+    tol = 1e-8
+    assert abs(sol.lower_bound - other.lower_bound) <= tol * max(1.0, other.upper_bound)
+    assert abs(sol.value - other.value) <= tol * max(1.0, other.upper_bound)
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("symmetric", [False, True], ids=["general", "symmetric"])
+@pytest.mark.parametrize("chunk", [None, 14 * 9], ids=["whole", "chunked"])
+def test_folded_hessian_is_the_full_one_on_the_diagonal(complex_, symmetric, chunk,
+                                                        monkeypatch):
+    rng = np.random.default_rng(42)
+    A = _random_matrix(rng, 7, 7, complex_)
+    if symmetric:
+        A = A + A.T
+    pt = schur._Weights(A, *_random_weights(rng, 7, 7))
+    S = np.vstack([np.eye(7), np.eye(7)])
+    want = S.T @ schur._hessian(pt) @ S
+    if chunk is not None:
+        monkeypatch.setattr(schur, "_HESSIAN_CHUNK", chunk)
+    H = schur._hessian(pt, fold=True)
+    assert np.array_equal(H, H.T)
+    assert np.abs(H - want).max() <= 1e-14 * np.abs(want).max()
