@@ -263,25 +263,24 @@ def cmd_extension(args, cfg: RunConfig) -> int:
     if any(k < 0 for k in args.k_list):
         raise MultiplierError("tent parameter k must be >= 0")
     group = _load_group_arg(args, default={"kind": "sl2z_semidirect"})
-    if not hasattr(group, "quotient"):
+    if not isinstance(group, SL2ZSemidirect):
         raise GroupError(
             f"group kind {group.kind!r} carries no quotient structure")
-    quotient = group.quotient()
-    qball = build_ball(quotient.quotient_group, 2, cap=cfg.ball_cap)
-    section = {quotient.lift(x): 1 for x in qball.elements}
+    qball = build_ball(group.matrix_part, 2, cap=cfg.ball_cap)
+    section = {group.lift(x): 1 for x in qball.elements}
 
     # the k -> infinity end must be exactly constant on subgroup cosets
-    limit = extension_limit(quotient, section)
+    limit = extension_limit(group, section)
     check_ball = build_ball(group, 3, cap=cfg.ball_cap)
     for t in check_ball.elements:
-        if limit(t) != limit(quotient.lift(quotient.project(t))):
+        if limit(t) != limit(group.lift(group.project(t))):
             raise MultiplierError(f"extension limit not coset-constant at {t!r}")
 
     window = build_ball(group, cfg.window_radius, cap=cfg.ball_cap)
     rows, labels = [], []
     for k in args.k_list:
         phi = extension_multiplier(
-            quotient, section,
+            group, section,
             lambda gamma, k=k: folner_tent_value(gamma[1], k),
             name=f"ext-k{k}")
         bracket = compute_bracket(group, phi, args.d, window,

@@ -630,11 +630,13 @@ class TreeFamily:
 
     def cr_ratio(self, t, z0: complex, h: float = 1e-3) -> float:
         """residual(h) / residual(h/2); about 4 when the coefficient is analytic."""
+        return self._cr_residual_and_ratio(t, z0, h)[1]
+
+    def _cr_residual_and_ratio(self, t, z0: complex, h: float) -> tuple[float, float]:
+        """(residual(h), cr_ratio), each residual computed once."""
         num = self.holomorphy_residual(t, z0, h)
         den = self.holomorphy_residual(t, z0, h / 2.0)
-        if den == 0.0:
-            return math.inf
-        return num / den
+        return num, (math.inf if den == 0.0 else num / den)
 
 
 class TreeFamilyPoint:
@@ -775,13 +777,14 @@ class TreeFamilyPoint:
 
     def contract_checks(self) -> dict:
         """All residuals in one dict; enforcement lives in run_contract_checks."""
-        probe = self.family.cr_probe
         h = min(1e-3, (1.0 - abs(self.z)) / 8.0)
+        cr_residual, cr_ratio = self.family._cr_residual_and_ratio(
+            self.family.cr_probe, self.z, h)
         return {
             "coefficient_residual": self.coefficient_residual(),
             "unitarity_residual": self.unitarity_residual(),
-            "cr_residual": self.family.holomorphy_residual(probe, self.z, h),
-            "cr_ratio": self.family.cr_ratio(probe, self.z, h),
+            "cr_residual": cr_residual,
+            "cr_ratio": cr_ratio,
         }
 
     def run_contract_checks(self, tol: float = 1e-8) -> dict:

@@ -33,18 +33,14 @@ from typing import Any, Callable, Iterable
 import numpy as np
 
 __all__ = [
-    "GroupError", "BallTooSmallError", "BallCapError",
+    "GroupError", "BallCapError",
     "FreeGroup", "ZnGroup", "FiniteGroup", "SL2Z", "SL2ZSemidirect",
-    "Ball", "build_ball", "gram_matrix", "QuotientStructure", "load_group",
+    "Ball", "build_ball", "gram_matrix", "load_group",
 ]
 
 
 class GroupError(ValueError):
     """Malformed element, mismatched realization, or bad group description."""
-
-
-class BallTooSmallError(GroupError):
-    """Word-length query fell outside the explored BFS horizon."""
 
 
 class BallCapError(RuntimeError):
@@ -68,14 +64,17 @@ class GroupRealization:
 
     Subclasses must provide: kind, identity, generators(), multiply(),
     inverse(), sort_key(), element_to_string(), element_to_json(),
-    element_from_json(), validate(), and pair_lengths(elements, horizon),
-    the matrix of word lengths |s_i^-1 s_j| that gram_matrix reads radial
-    multipliers through (there is no generic fallback).  Generating sets are
-    symmetric (closed under inverses) and never contain the identity.
+    element_from_json(), validate(), and pair_lengths(elements, limit),
+    the matrix of clipped word lengths min(|s_i^-1 s_j|, limit) that
+    gram_matrix reads radial multipliers through (there is no generic
+    fallback).  Lookups take a limit the caller derives from its input, a
+    radial multiplier's coefficient count: no length at or past it is ever
+    told apart, so the BFS searches no further than sphere limit - 1 and
+    every lookup has an answer.  Generating sets are symmetric (closed
+    under inverses) and never contain the identity.
     """
 
     kind: str = "?"
-    DEFAULT_HORIZON = 12  # BFS horizon of word_length and pair_lengths given none
 
     def __init__(self) -> None:
         self._layers: list[list[Any]] = [[self.identity]]
@@ -83,21 +82,14 @@ class GroupRealization:
 
     # -- word length ----------------------------------------------------------
 
-    def word_length(self, a, horizon: int | None = None) -> int:
-        """BFS distance from the identity; overridden where a closed form exists."""
+    def word_length(self, a, limit: int) -> int:
+        """min(BFS distance from the identity, limit), searching no further
+        than sphere limit - 1; overridden where a closed form exists."""
         self.validate(a)
-        horizon = self.DEFAULT_HORIZON if horizon is None else horizon
-        while a not in self._lengths:
-            r = len(self._layers)  # the first sphere not yet in _lengths
-            # explored spheres are read at any radius; growth stops at the horizon
-            if r > max(horizon, self._explored_radius()):
-                raise self._beyond(horizon)
-            self._ensure_radius(r)
-        return self._lengths[a]
-
-    def _beyond(self, horizon: int) -> BallTooSmallError:
-        return BallTooSmallError(
-            f"{self.kind}: element beyond BFS horizon {horizon}; enlarge the ball")
+        # len(_layers) is the first sphere not yet in _lengths
+        while a not in self._lengths and len(self._layers) < limit:
+            self._ensure_radius(len(self._layers))
+        return min(self._lengths.get(a, limit), limit)
 
     def pair_values(self, elements: list, f: Callable, dtype) -> np.ndarray:
         """Matrix f(s_i^-1 s_j) over an ordered finite subset, f once per pair.
@@ -176,12 +168,13 @@ class FreeGroup(GroupRealization):
     def inverse(self, a):
         return tuple(-l for l in reversed(a))
 
-    def word_length(self, a, horizon: int | None = None) -> int:
+    def word_length(self, a, limit: int) -> int:
         self.validate(a)
-        return len(a)
+        return min(len(a), limit)
 
-    def pair_lengths(self, elements: list, horizon: int | None = None) -> np.ndarray:
-        """|s^-1 t| = |s| + |t| - 2 lcp(s, t) for reduced words, all pairs at once."""
+    def pair_lengths(self, elements: list, limit: int) -> np.ndarray:
+        """|s^-1 t| = |s| + |t| - 2 lcp(s, t) for reduced words, all pairs at
+        once, clipped at limit."""
         for s in elements:
             self.validate(s)
         n = len(elements)
@@ -199,7 +192,7 @@ class FreeGroup(GroupRealization):
             # so the only n x n temporaries are booleans)
             L -= common
             L -= common
-        return L
+        return np.minimum(L, limit, out=L)
 
     def sort_key(self, a):
         return (len(a), tuple((abs(l), l < 0) for l in a))
@@ -273,12 +266,13 @@ class ZnGroup(GroupRealization):
     def inverse(self, a):
         return tuple(-x for x in a)
 
-    def word_length(self, a, horizon: int | None = None) -> int:
+    def word_length(self, a, limit: int) -> int:
         self.validate(a)
-        return sum(abs(x) for x in a)
+        return min(sum(abs(x) for x in a), limit)
 
-    def pair_lengths(self, elements: list, horizon: int | None = None) -> np.ndarray:
-        """L1 norms of all coordinate differences, by broadcasting.
+    def pair_lengths(self, elements: list, limit: int) -> np.ndarray:
+        """L1 norms of all coordinate differences, by broadcasting, clipped
+        at limit.
 
         Coordinates too large for int64 differences are summed as Python
         integers (object dtype), so lengths are exact at every size.
@@ -293,7 +287,7 @@ class ZnGroup(GroupRealization):
         for col in coords.T:
             diff = col[None, :] - col[:, None]
             L += np.abs(diff, out=diff)
-        return L
+        return np.minimum(L, limit, out=L).astype(np.intp, copy=False)
 
     def sort_key(self, a):
         return (sum(abs(x) for x in a), a)
@@ -430,8 +424,8 @@ class FiniteGroup(GroupRealization):
                                        count=distinct.size)
         return values[products]
 
-    def pair_lengths(self, elements: list, horizon: int | None = None) -> np.ndarray:
-        return self.pair_values(elements, lambda t: self.word_length(t, horizon), np.intp)
+    def pair_lengths(self, elements: list, limit: int) -> np.ndarray:
+        return self.pair_values(elements, lambda t: self.word_length(t, limit), np.intp)
 
     def sort_key(self, a):
         return a
@@ -557,13 +551,14 @@ class _SL2Rows(GroupRealization):
             self._layers.append(layer)
             self._lengths.update(dict.fromkeys(layer, r))
 
-    def pair_lengths(self, elements: list, horizon: int | None = None) -> np.ndarray:
-        """Integer matrix L[i, j] = |s_i^-1 s_j| over an ordered finite subset.
+    def pair_lengths(self, elements: list, limit: int) -> np.ndarray:
+        """Integer matrix L[i, j] = min(|s_i^-1 s_j|, limit) over an ordered
+        finite subset.
 
         All n^2 products come from one broadcast.  Each distinct product is
         found by a sorted search against the explored spheres, and the BFS
-        grows one sphere at a time only until every product is found; past
-        the horizon it raises BallTooSmallError, as word_length does.
+        grows one sphere at a time only until every product is found or
+        sphere limit - 1 is searched, as word_length does.
         """
         for s in elements:
             self.validate(s)
@@ -576,17 +571,15 @@ class _SL2Rows(GroupRealization):
                             S[None, :]).reshape(n * n, 6)
         M = _bound(products)
         codes, slots = np.unique(_codes(products, M), return_inverse=True)
-        return self._code_lengths(codes, M, horizon)[slots].reshape(n, n)
+        return self._code_lengths(codes, M, limit)[slots].reshape(n, n)
 
-    def _code_lengths(self, codes: np.ndarray, M: int, horizon: int | None) -> np.ndarray:
-        """Word lengths of the rows with these sorted, distinct codes."""
-        horizon = self.DEFAULT_HORIZON if horizon is None else horizon
-        lengths = np.empty(len(codes), dtype=np.intp)
+    def _code_lengths(self, codes: np.ndarray, M: int, limit: int) -> np.ndarray:
+        """Word lengths, clipped at limit, of the rows with these sorted,
+        distinct codes."""
+        lengths = np.full(len(codes), limit, dtype=np.intp)
         found, r = 0, 0
-        while found < len(codes):
+        while found < len(codes) and r < limit:
             if r > self._explored_radius():
-                if r > horizon:
-                    raise self._beyond(horizon)
                 self._grow_one_sphere()
             sphere = self._spheres[r]
             # rows with an entry past M are no product, and have no code in base 2M + 1
@@ -703,45 +696,20 @@ class SL2ZSemidirect(_SL2Rows):
         self.validate(elem)
         return elem
 
-    # -- quotient structure G -> G/Z^2 = SL(2,Z) ------------------------------
+    # -- quotient map G -> G/Z^2 = SL(2,Z), onto matrix_part -------------------
 
     def gamma_member(self, a) -> bool:
+        """Whether a lies in the normal subgroup Z^2, the kernel of project."""
         return a[0] == _SL2_ID
 
     def project(self, a):
+        """The quotient homomorphism: the matrix part of a."""
         return a[0]
 
     def lift(self, m):
+        """The section m -> (m, 0), with project(lift(m)) = m."""
         self.matrix_part.validate(m)
         return (m, (0, 0))
-
-    def quotient(self) -> "QuotientStructure":
-        return QuotientStructure(
-            ambient=self, quotient_group=self.matrix_part,
-            project=self.project, lift=self.lift, member=self.gamma_member)
-
-
-@dataclass(frozen=True)
-class QuotientStructure:
-    """Quotient map data for G -> G/Gamma with a fixed section.
-
-    project is the quotient homomorphism q, lift a section with q(lift(x)) = x,
-    member the indicator of the normal subgroup Gamma = ker q.
-    """
-
-    ambient: GroupRealization
-    quotient_group: GroupRealization
-    project: Callable
-    lift: Callable
-    member: Callable
-
-    def decompose(self, t):
-        """Split t as lift(q(t)) * gamma and return (q(t), gamma)."""
-        x = self.project(t)
-        gamma = self.ambient.multiply(self.ambient.inverse(self.lift(x)), t)
-        if not self.member(gamma):
-            raise GroupError(f"decomposition left a non-subgroup part for {t!r}")
-        return x, gamma
 
 
 # ---------------------------------------------------------------------------
@@ -807,18 +775,18 @@ def gram_matrix(group: GroupRealization, phi: Callable, elements: list) -> np.nd
 
     Every route gives the matrix that evaluating phi entry by entry gives,
     bit for bit.  A radial multiplier on this group (a phi with kind
-    "radial", coeffs and horizon, as mdlab.multipliers.Multiplier has) is
-    read off its coefficient list, zero past the end, at the pair word
-    lengths, which each realization computes for all pairs at once
-    (pair_lengths).  Any other phi goes through pair_values: once per
-    distinct product on a finite group, once per pair elsewhere.
+    "radial" and coeffs, as mdlab.multipliers.Multiplier has) is read off
+    its coefficient list, zero past the end, at the pair word lengths
+    clipped at the coefficient count, which each realization computes for
+    all pairs at once (pair_lengths).  Any other phi goes through
+    pair_values: once per distinct product on a finite group, once per
+    pair elsewhere.
     """
     elements = list(elements)
     if getattr(phi, "kind", None) == "radial" and getattr(phi, "group", None) is group:
         coeffs = phi.coeffs
         table = np.array(coeffs + [0j], dtype=complex)
-        L = group.pair_lengths(elements, phi.horizon)
-        return table[np.minimum(L, len(coeffs), out=L).astype(np.intp, copy=False)]
+        return table[group.pair_lengths(elements, len(coeffs))]
     return group.pair_values(elements, phi, complex)
 
 

@@ -38,7 +38,7 @@ import numpy as np
 
 from mdlab.config import FLOAT_FMT
 from mdlab.groups import (
-    BallCapError, FiniteGroup, GroupError, GroupRealization, QuotientStructure, ZnGroup,
+    BallCapError, FiniteGroup, GroupError, GroupRealization, SL2ZSemidirect, ZnGroup,
     gram_matrix,
 )
 from mdlab.schur import is_symmetric, schur_norm
@@ -94,7 +94,8 @@ class Multiplier:
 
     Finite multipliers store {element: value} and vanish elsewhere.  Radial
     multipliers read coeffs_by_length[word_length(t)] (zero past the end),
-    which on a BFS-lengthed group may require growing the cached ball.
+    which on a BFS-lengthed group grows the cached ball at most to sphere
+    len(coeffs_by_length) - 1.
     """
 
     def __init__(self, group: GroupRealization, kind: str, *, support=None,
@@ -128,7 +129,7 @@ class Multiplier:
         if self.kind == "finite":
             return self._support.get(t, 0j)
         if self.kind == "radial":
-            ell = self.group.word_length(t, horizon=self.horizon)
+            ell = self.group.word_length(t, len(self._coeffs))
             if ell < len(self._coeffs):
                 return self._coeffs[ell]
             return 0j
@@ -144,13 +145,6 @@ class Multiplier:
         if self.kind != "radial":
             raise MultiplierError("coeffs needs a radial multiplier")
         return list(self._coeffs)
-
-    @property
-    def horizon(self) -> int:
-        """BFS horizon of the word-length lookups behind a radial value."""
-        if self.kind != "radial":
-            raise MultiplierError("horizon needs a radial multiplier")
-        return max(16, len(self._coeffs) + 2)
 
     def sup_abs(self) -> float:
         """Exact sup of |phi| over the whole group, when the data allows it."""
@@ -795,20 +789,23 @@ def regular_compression_norm(group, g: Callable, elements) -> float:
 # ---------------------------------------------------------------------------
 # quotient toolkit
 # ---------------------------------------------------------------------------
+#
+# The quotient is G = SL(2,Z) x| Z^2 -> G/Gamma = SL(2,Z), Gamma = Z^2: the
+# group's project (the quotient map q), lift (a section), gamma_member (the
+# indicator of Gamma) and matrix_part (the quotient group).
 
 def restrict_multiplier(phi: Callable, embed: Callable, subgroup) -> Multiplier:
     """Pull phi back along an injective homomorphism embed: H -> G."""
     return Multiplier.from_callable(subgroup, lambda h: phi(embed(h)), name="phi|H")
 
 
-def inflate_multiplier(psi: Callable, quotient: QuotientStructure) -> Multiplier:
-    """Lift psi on G/Gamma to psi(q(t)) on G."""
-    return Multiplier.from_callable(quotient.ambient,
-                                    lambda t: psi(quotient.project(t)),
+def inflate_multiplier(psi: Callable, group: SL2ZSemidirect) -> Multiplier:
+    """Lift psi on G/Gamma to psi(q(t)) on G, q = group.project."""
+    return Multiplier.from_callable(group, lambda t: psi(group.project(t)),
                                     name="psi.q")
 
 
-def coset_average(quotient: QuotientStructure, f) -> dict:
+def coset_average(group: SL2ZSemidirect, f) -> dict:
     """Sum finitely supported f over each coset: out[x] = sum_{q(u)=x} f(u).
 
     The adjoint of inflation under the bilinear pairing: summing
@@ -817,15 +814,15 @@ def coset_average(quotient: QuotientStructure, f) -> dict:
     if isinstance(f, Multiplier):
         items = f.support_items()
     else:
-        items = sorted(f.items(), key=lambda kv: quotient.ambient.sort_key(kv[0]))
+        items = sorted(f.items(), key=lambda kv: group.sort_key(kv[0]))
     out: dict = {}
     for u, v in items:
-        x = quotient.project(u)
+        x = group.project(u)
         out[x] = out.get(x, 0) + v
     return out
 
 
-def extension_multiplier(quotient: QuotientStructure, f: dict,
+def extension_multiplier(group: SL2ZSemidirect, f: dict,
                          gamma_phi: Callable, name: str = "ext") -> Multiplier:
     """Spread a subgroup multiplier over the group along coset data f.
 
@@ -834,37 +831,36 @@ def extension_multiplier(quotient: QuotientStructure, f: dict,
     With f a section indicator this reads gamma_phi off the subgroup part
     of t in its coset decomposition.
     """
-    g = quotient.ambient
     buckets: dict = {}
-    for w in sorted(f, key=g.sort_key):
-        buckets.setdefault(quotient.project(w), []).append((w, f[w]))
+    for w in sorted(f, key=group.sort_key):
+        buckets.setdefault(group.project(w), []).append((w, f[w]))
 
     def value(t):
-        x = quotient.quotient_group.inverse(quotient.project(t))
+        x = group.matrix_part.inverse(group.project(t))
         acc = 0
         for w, coef in buckets.get(x, ()):
-            gamma = g.multiply(w, t)
-            if not quotient.member(gamma):
+            gamma = group.multiply(w, t)
+            if not group.gamma_member(gamma):
                 raise GroupError(f"bucketing broke at {w!r} * {t!r}")
             acc += coef * gamma_phi(gamma)
         return acc
 
-    return Multiplier.from_callable(g, value, name=name)
+    return Multiplier.from_callable(group, value, name=name)
 
 
-def extension_limit(quotient: QuotientStructure, f: dict) -> Multiplier:
+def extension_limit(group: SL2ZSemidirect, f: dict) -> Multiplier:
     """The k -> infinity end of the extension: subgroup data replaced by 1.
 
     Aggregates f over cosets once; the value at t is the aggregate at
     q(t)^-1, so it is constant on cosets of the subgroup by construction,
     and exactly so when f takes integer values.
     """
-    s = coset_average(quotient, f)
+    s = coset_average(group, f)
 
     def value(t):
-        return s.get(quotient.quotient_group.inverse(quotient.project(t)), 0)
+        return s.get(group.matrix_part.inverse(group.project(t)), 0)
 
-    return Multiplier.from_callable(quotient.ambient, value, name="ext-limit")
+    return Multiplier.from_callable(group, value, name="ext-limit")
 
 
 # ---------------------------------------------------------------------------
@@ -900,8 +896,6 @@ def compute_bracket(group, phi, d: int, ball, certificate=None,
     elements = ball.elements
     flags: list = []
 
-    lower = -math.inf
-    lower_prov = "none"
     if isinstance(phi, Multiplier) and phi.kind in ("finite", "radial"):
         lower, lower_prov = phi.sup_abs(), "sup-exact"
     else:

@@ -62,6 +62,10 @@ __all__ = [
 # pairs), which keeps each work array of a 200 x 200 solve near 8 MB.
 _HESSIAN_CHUNK = 1 << 19
 
+# Smallest eigenvalue (and weight) a PSD check accepts: the one rule for
+# Gram matrices and dual certificates alike.
+_PSD_TOL = 1e-10
+
 # A trial step shrinks a weight's excess over its floor at most tenfold, so
 # weights the optimum sets to zero reach the floor in about ten steps.
 _SHRINK = 0.1
@@ -122,15 +126,15 @@ def certificate_lower_bound(A: np.ndarray, mu: np.ndarray, nu: np.ndarray,
                             R: np.ndarray) -> float:
     """Evaluate a dual certificate from scratch; ValueError if infeasible.
 
-    Checks mu, nu >= 0, total mass 1, and [[diag mu, R],[R*, diag nu]] >= 0
-    up to 1e-10, then returns -2 Re sum_ij A_ij conj(R_ij).
+    Checks mu, nu >= 0 and [[diag mu, R],[R*, diag nu]] >= 0 (by
+    psd_check), each up to 1e-10, and total mass 1, then returns
+    -2 Re sum_ij A_ij conj(R_ij).
     """
-    psd_tol = 1e-10
     A = np.asarray(A)
     m, n = A.shape
     if mu.shape != (m,) or nu.shape != (n,) or R.shape != (m, n):
         raise ValueError("certificate shapes do not match the matrix")
-    if float(mu.min(initial=0.0)) < -psd_tol or float(nu.min(initial=0.0)) < -psd_tol:
+    if float(mu.min(initial=0.0)) < -_PSD_TOL or float(nu.min(initial=0.0)) < -_PSD_TOL:
         raise ValueError("certificate weights must be nonnegative")
     mass = float(mu.sum() + nu.sum())
     if abs(mass - 1.0) > 1e-8:
@@ -140,8 +144,8 @@ def certificate_lower_bound(A: np.ndarray, mu: np.ndarray, nu: np.ndarray,
     C[m:, m:] = np.diag(nu)
     C[:m, m:] = R
     C[m:, :m] = R.conj().T
-    lam_min = float(np.linalg.eigvalsh(C)[0]) if m + n else 0.0
-    if lam_min < -psd_tol:
+    ok, lam_min = psd_check(C)
+    if not ok:
         raise ValueError(f"certificate block matrix has eigenvalue {lam_min}")
     return float(-2.0 * np.real(np.sum(A * R.conj())))
 
@@ -158,7 +162,7 @@ def psd_check(M: np.ndarray) -> tuple[bool, float]:
     if np.iscomplexobj(M) and not np.any(M.imag):
         M = M.real
     lam = float(np.linalg.eigvalsh((M + M.conj().T) / 2.0)[0])
-    return lam >= -1e-10, lam
+    return lam >= -_PSD_TOL, lam
 
 
 def is_symmetric(A: np.ndarray) -> bool:

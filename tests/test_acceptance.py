@@ -155,12 +155,11 @@ def test_criterion_6_extension_pipeline():
     with criterion(6, "extension pipeline"):
         t0 = time.perf_counter()
         G = SL2ZSemidirect()
-        quotient = G.quotient()
-        qball = build_ball(quotient.quotient_group, 2)
-        section = {quotient.lift(x): 1 for x in qball.elements}
+        qball = build_ball(G.matrix_part, 2)
+        section = {G.lift(x): 1 for x in qball.elements}
 
         # the limit object is constant on translate cosets, bit-for-bit
-        limit = extension_limit(quotient, section)
+        limit = extension_limit(G, section)
         shifts = [(G.identity[0], v) for v in ((1, 0), (0, -1), (3, 2))]
         for t in build_ball(G, 3).elements:
             for gamma in shifts:
@@ -179,9 +178,9 @@ def test_criterion_6_extension_pipeline():
             table = {}
             psi_rand = lambda x: table.setdefault(
                 x, complex(rng.randrange(-9, 10), rng.randrange(-9, 10)))
-            lhs = sum(psi_rand(quotient.project(t)) * v for t, v in f.items())
+            lhs = sum(psi_rand(G.project(t)) * v for t, v in f.items())
             rhs = sum(psi_rand(x) * v
-                      for x, v in coset_average(quotient, f).items())
+                      for x, v in coset_average(G, f).items())
             assert lhs == rhs
 
         # pointwise approach to 1 at five fixed elements, improving in k
@@ -198,7 +197,7 @@ def test_criterion_6_extension_pipeline():
         residuals = []
         for k in (2, 4, 8, 16):
             ext = extension_multiplier(
-                quotient, section,
+                G, section,
                 lambda gamma, k=k: folner_tent_value(gamma[1], k))
             residuals.append([abs(complex(ext(t)) - 1.0) for t in samples])
         for row, nxt in zip(residuals, residuals[1:]):

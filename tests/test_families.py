@@ -362,6 +362,23 @@ class TestTreePoint:
         assert checks["unitarity_residual"] < 1e-12
         assert 3.5 <= checks["cr_ratio"] <= 4.5
 
+    def test_contract_checks_take_each_cr_residual_once(self, monkeypatch):
+        pt = FAM4.point(0.7, check=False)
+        calls = []
+        path = families.TreeFamily.coefficient_path
+
+        def counting_path(self, z, t):
+            calls.append(z)
+            return path(self, z, t)
+
+        monkeypatch.setattr(families.TreeFamily, "coefficient_path", counting_path)
+        checks = pt.contract_checks()
+        # two residuals, at h and h/2, of four coefficient paths each
+        assert len(calls) == len(set(calls)) == 8
+        h = min(1e-3, 0.3 / 8.0)
+        assert checks["cr_residual"] == FAM4.holomorphy_residual(FAM4.cr_probe, pt.z, h)
+        assert checks["cr_ratio"] == FAM4.cr_ratio(FAM4.cr_probe, pt.z, h)
+
     def test_product_defect(self):
         pt = FAM4.point(0.45 + 0.25j, check=False)
         assert pt.product_defect((1,), (2, 2)) < 1e-12

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from mdlab.groups import (
     Ball,
     BallCapError,
-    BallTooSmallError,
     FiniteGroup,
     FreeGroup,
     GroupError,
@@ -86,8 +85,8 @@ class TestFreeGroup:
 
     def test_word_length_is_reduced_length(self):
         g = FreeGroup(2)
-        assert g.word_length(()) == 0
-        assert g.word_length((1, 2, -1)) == 3
+        assert g.word_length((), 4) == 0
+        assert g.word_length((1, 2, -1), 4) == 3
 
     def test_frozen_ball_counts(self):
         # |B_1| = 5 and |B_2| = 17 in F_2; spheres follow 2k(2k-1)^(r-1).
@@ -132,7 +131,7 @@ class TestZnGroup:
         g = ZnGroup(3)
         assert g.multiply((1, 2, -1), (0, -2, 5)) == (1, 0, 4)
         assert g.inverse((4, -7, 0)) == (-4, 7, 0)
-        assert g.word_length((4, -7, 0)) == 11
+        assert g.word_length((4, -7, 0), 12) == 11
 
     @pytest.mark.parametrize("n,r", [(1, 6), (2, 1), (2, 4), (3, 3)])
     def test_ball_sizes(self, n, r):
@@ -167,7 +166,7 @@ class TestFiniteGroup:
         g = FiniteGroup(table, generators=[1, 3])
         assert g.identity == 0
         assert g.inverse(1) == 3
-        assert g.word_length(2) == 2
+        assert g.word_length(2, 3) == 2
         ball = build_ball(g, 2)
         assert len(ball) == 4
 
@@ -254,18 +253,18 @@ class TestSL2Z:
         s = g.S
         s2 = g.multiply(s, s)
         assert s2 == ((-1, 0), (0, -1))
-        assert g.word_length(s2) == 2
+        assert g.word_length(s2, 3) == 2
 
-    def test_horizon_error(self):
+    def test_word_length_stops_at_the_limit(self):
         g = SL2Z()
-        # T^40 sits at distance 40 > default horizon
+        # T^40 sits at distance 40: past limit 6, found nowhere in spheres 0..5
         t40 = ((1, 40), (0, 1))
-        with pytest.raises(BallTooSmallError):
-            g.word_length(t40, horizon=6)
+        assert g.word_length(t40, 6) == 6
+        assert g._explored_radius() == 5
 
     def test_cap_after_word_length_explored_the_ball(self):
         g = SL2Z()
-        assert g.word_length(((1, 6), (0, 1))) == 6  # T^6: the BFS goes to radius 6
+        assert g.word_length(((1, 6), (0, 1)), 7) == 6  # T^6: the BFS goes to radius 6
         with pytest.raises(BallCapError):
             build_ball(g, 6, cap=10)
 
@@ -300,9 +299,10 @@ def test_python_int_bfs_matches_the_int64_route(cls, radius, int64_max, monkeypa
     assert slow_ball.elements == fast_ball.elements
     assert slow_ball.lengths == fast_ball.lengths
     window = fast_ball.elements_up_to(radius // 2)
-    assert np.array_equal(slow.pair_lengths(window), fast.pair_lengths(window))
-    assert ([slow.word_length(x) for x in fast_ball.elements]
-            == [fast.word_length(x) for x in fast_ball.elements])
+    assert np.array_equal(slow.pair_lengths(window, radius + 1),
+                          fast.pair_lengths(window, radius + 1))
+    assert ([slow.word_length(x, radius + 1) for x in fast_ball.elements]
+            == [fast.word_length(x, radius + 1) for x in fast_ball.elements])
 
 
 sl2_words = st.lists(st.integers(0, 3), min_size=0, max_size=8)
@@ -374,24 +374,24 @@ class TestSL2ZSemidirect:
 
     def test_quotient_decomposition(self):
         g = SL2ZSemidirect()
-        q = g.quotient()
         rng = random.Random(7)
         gens = g.generators()
         for _ in range(100):
             t = g.identity
             for _ in range(rng.randrange(0, 10)):
                 t = g.multiply(t, rng.choice(gens))
-            x, gamma = q.decompose(t)
-            assert q.member(gamma)
-            assert g.multiply(q.lift(x), gamma) == t
-            assert q.project(t) == x
+            # t = lift(q(t)) * gamma with gamma in the kernel Z^2
+            x = g.project(t)
+            gamma = g.multiply(g.inverse(g.lift(x)), t)
+            assert g.gamma_member(gamma)
+            assert g.multiply(g.lift(x), gamma) == t
+            assert g.project(g.lift(x)) == x
 
     def test_projection_is_homomorphism(self):
         g = SL2ZSemidirect()
-        q = g.quotient()
         a = (((1, 1), (0, 1)), (3, 4))
         b = (((0, -1), (1, 0)), (-2, 5))
-        assert q.project(g.multiply(a, b)) == g.matrix_part.multiply(q.project(a), q.project(b))
+        assert g.project(g.multiply(a, b)) == g.matrix_part.multiply(g.project(a), g.project(b))
 
 
 class TestBall:
@@ -400,7 +400,7 @@ class TestBall:
         ball = build_ball(g, 3)
         assert ball.elements[0] == g.identity
         for i, x in enumerate(ball.elements):
-            assert ball.lengths[i] == g.word_length(x)
+            assert ball.lengths[i] == g.word_length(x, 4)
             assert ball.index[x] == i
 
     def test_inverse_closed(self):
@@ -507,6 +507,25 @@ def assert_same_gram(g, phi, window):
     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("kind", GROUP_KINDS)
+def test_lookups_clip_at_the_limit(kind):
+    g, R = make_group(kind)
+    ball = build_ball(g, R)
+    # every product s^-1 t of two ball elements lies within radius 2R
+    spheres = bfs_spheres(g.identity, g.generators(), g.multiply, 2 * R)
+    true_length = {x: r for r, sphere in enumerate(spheres) for x in sphere}
+    assert all(true_length[x] == ball.lengths[i] for i, x in enumerate(ball.elements))
+    products = [[g.multiply(g.inverse(s), t) for t in ball.elements] for s in ball.elements]
+    for limit in (0, 1, 3, R + 1, 2 * R + 1):
+        fresh = make_group(kind)[0]  # cold BFS cache: growth stops at sphere limit - 1
+        L = fresh.pair_lengths(ball.elements, limit)
+        assert fresh._explored_radius() <= max(limit - 1, 0)
+        want = [[min(true_length[p], limit) for p in row] for row in products]
+        assert L.tolist() == want
+        assert [[fresh.word_length(p, limit) for p in row] for row in products] == want
+        assert fresh._explored_radius() <= max(limit - 1, 0)
+
+
 class TestGramRoutes:
     """Every gram_matrix route against the entry-by-entry reference loop."""
 
@@ -521,36 +540,29 @@ class TestGramRoutes:
         for window in (ball.elements, [], ball.elements[:1], ball.elements[-1:], shuffled):
             assert_same_gram(g, phi, window)
 
-    def test_radial_past_the_horizon_raises_like_the_reference(self):
-        t = SL2Z.T
+    def test_radial_past_the_last_coefficient_reads_zero(self):
+        g = SL2Z()
         t10 = ((1, 10), (0, 1))
-        window = [SL2Z().inverse(t10), SL2Z().identity, t, t10]
-        messages = []
-        for gram in (gram_matrix_reference, gram_matrix):
-            g = SL2Z()
-            phi = Multiplier.radial(g, [0.5, 0.25])
-            with pytest.raises(BallTooSmallError) as info:
-                gram(g, phi, window)
-            messages.append(str(info.value))
-        assert messages[0] == messages[1]
+        window = [g.inverse(t10), g.identity, SL2Z.T, t10]
+        phi = Multiplier.radial(g, [0.5, 0.25])
+        assert_same_gram(g, phi, window)
+        # lengths 0 and 1 are all that phi tells apart
+        assert g._explored_radius() == 1
 
-    def test_huge_product_past_the_horizon_raises_like_the_reference(self):
+    def test_huge_product_past_the_last_coefficient_reads_zero(self):
         x = ((1, 10 ** 30), (0, 1))  # T^(10^30): its row has no int64 code
-        messages = []
         for gram in (gram_matrix_reference, gram_matrix):
             g = SL2Z()
-            with pytest.raises(BallTooSmallError) as info:
-                gram(g, Multiplier.radial(g, [0.5, 0.25]), [g.identity, x])
-            messages.append(str(info.value))
-            assert g._explored_radius() == 16
-        assert messages[0] == messages[1]
+            M = gram(g, Multiplier.radial(g, [0.5, 0.25]), [g.identity, x])
+            assert M.tolist() == [[0.5, 0], [0, 0.5]]
+            assert g._explored_radius() == 1
 
-    def test_finite_radial_past_the_horizon_raises(self):
+    def test_finite_radial_past_the_last_coefficient_reads_zero(self):
         cyclic = [[(i + j) % 40 for j in range(40)] for i in range(40)]
         for gram in (gram_matrix_reference, gram_matrix):
             g = FiniteGroup(cyclic, generators=[1, 39])
-            with pytest.raises(BallTooSmallError):
-                gram(g, Multiplier.radial(g, [1.0]), [0, 20])
+            M = gram(g, Multiplier.radial(g, [1.0]), [0, 20])
+            assert M.tolist() == [[1, 0], [0, 1]]
 
     def test_radial_on_another_instance_takes_the_generic_route(self):
         g = SL2Z()
@@ -626,7 +638,6 @@ class TestGramRoutes:
         ball = build_ball(g, 6)
         assert len(ball) == 204
         phi = Multiplier.radial(g, [0.5 ** k for k in range(13)])
-        assert phi.horizon == 16
         calls = {"multiply": 0, "grow": 0}
         multiply, grow = SL2Z.multiply, SL2Z._grow_one_sphere
 
@@ -642,7 +653,7 @@ class TestGramRoutes:
         monkeypatch.setattr(SL2Z, "_grow_one_sphere", counting_grow)
         gram_matrix(g, phi, ball.elements)
         assert calls["multiply"] == 0
-        # products of two radius-6 elements reach radius 12, not the horizon
+        # products of two radius-6 elements reach radius 12
         assert calls["grow"] == 6
         assert g._explored_radius() == 12
 

@@ -568,7 +568,6 @@ class TestPairingAndCstar:
 class TestQuotientToolkit:
     def setup_method(self):
         self.G = SL2ZSemidirect()
-        self.q = self.G.quotient()
 
     def test_restrict(self):
         embed = lambda m: (m[0], 0)
@@ -579,7 +578,7 @@ class TestQuotientToolkit:
 
     def test_inflate_constant_on_cosets(self):
         psi = lambda A: float(A[0][0] + A[1][1])
-        lifted = inflate_multiplier(psi, self.q)
+        lifted = inflate_multiplier(psi, self.G)
         A = ((1, 1), (0, 1))
         assert lifted((A, (5, -3))) == lifted((A, (0, 0))) == 2.0
 
@@ -587,7 +586,7 @@ class TestQuotientToolkit:
         A = ((1, 1), (0, 1))
         B = ((0, -1), (1, 0))
         f = {(A, (0, 0)): 2, (A, (1, 1)): 3, (B, (0, 0)): 5}
-        out = coset_average(self.q, f)
+        out = coset_average(self.G, f)
         assert out == {A: 5, B: 5}
 
     def test_adjoint_identity_exact_on_integers(self):
@@ -604,17 +603,17 @@ class TestQuotientToolkit:
             psi_table = {}
             psi = lambda x: psi_table.setdefault(
                 x, complex(rng.randrange(-9, 10), rng.randrange(-9, 10)))
-            lhs = sum(psi(self.q.project(t)) * v for t, v in f.items())
-            averaged = coset_average(self.q, f)
+            lhs = sum(psi(self.G.project(t)) * v for t, v in f.items())
+            averaged = coset_average(self.G, f)
             rhs = sum(psi(x) * v for x, v in averaged.items())
             assert lhs == rhs  # exact: all sums are Gaussian integers
 
     def test_extension_matches_direct_convolution(self):
-        qball = build_ball(self.q.quotient_group, 2)
-        f = {self.q.lift(x): 1 for x in qball.elements}
+        qball = build_ball(self.G.matrix_part, 2)
+        f = {self.G.lift(x): 1 for x in qball.elements}
         k = 3
         gamma_tent = lambda gamma: folner_tent_value(gamma[1], k)
-        ext = extension_multiplier(self.q, f, gamma_tent)
+        ext = extension_multiplier(self.G, f, gamma_tent)
         rng = random.Random(7)
         gens = self.G.generators()
         for _ in range(40):
@@ -625,27 +624,27 @@ class TestQuotientToolkit:
             direct = 0.0
             for w, coef in f.items():
                 wt = self.G.multiply(w, t)
-                if self.q.member(wt):
+                if self.G.gamma_member(wt):
                     direct += coef * folner_tent_value(wt[1], k)
             assert ext(t) == pytest.approx(direct, abs=1e-15)
 
     def test_extension_section_form(self):
         # with a section indicator the value reads the tent at A^-1 v
-        qball = build_ball(self.q.quotient_group, 2)
-        f = {self.q.lift(x): 1 for x in qball.elements}
-        ext = extension_multiplier(self.q, f, lambda gamma: folner_tent_value(gamma[1], 4))
+        qball = build_ball(self.G.matrix_part, 2)
+        f = {self.G.lift(x): 1 for x in qball.elements}
+        ext = extension_multiplier(self.G, f, lambda gamma: folner_tent_value(gamma[1], 4))
         A = ((1, 1), (0, 1))
         assert A in qball.index
         v = (2, -1)
-        Ainv = self.q.quotient_group.inverse(A)
+        Ainv = self.G.matrix_part.inverse(A)
         w = (Ainv[0][0] * v[0] + Ainv[0][1] * v[1],
              Ainv[1][0] * v[0] + Ainv[1][1] * v[1])
         assert ext((A, v)) == pytest.approx(folner_tent_value(w, 4))
 
     def test_extension_limit_coset_constant_bitexact(self):
-        qball = build_ball(self.q.quotient_group, 2)
-        f = {self.q.lift(x): 1 for x in qball.elements}
-        limit = extension_limit(self.q, f)
+        qball = build_ball(self.G.matrix_part, 2)
+        f = {self.G.lift(x): 1 for x in qball.elements}
+        limit = extension_limit(self.G, f)
         rng = random.Random(3)
         gens = self.G.generators()
         for _ in range(50):
@@ -658,7 +657,7 @@ class TestQuotientToolkit:
                 assert limit(self.G.multiply(t, gamma)) == base
             # brute-force the convolution sum as the oracle
             direct = sum(coef for w, coef in f.items()
-                         if self.q.member(self.G.multiply(w, t)))
+                         if self.G.gamma_member(self.G.multiply(w, t)))
             assert base == complex(direct)
 
 
@@ -683,8 +682,7 @@ class TestBrackets:
         assert "window-limited" in br.flags
 
     def test_window_over_the_cap_gets_no_gram(self):
-        # |B| = 916 > window_cap, and |s^-1 t| reaches 18 > the radial
-        # multiplier's horizon 16: assembling the unused Gram would raise
+        # |B| = 916 > window_cap: no Gram is assembled and no window solved
         g = SL2Z()
         ball = build_ball(g, 9)
         phi = Multiplier.radial(g, [1.0, -0.5, 0.25j], name="rad")
