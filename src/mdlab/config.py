@@ -13,6 +13,8 @@ import math
 import os
 from dataclasses import dataclass, field, fields, replace
 
+from mdlab.groups import BALL_CAP
+
 __all__ = ["RunConfig", "DEFAULTS", "resolve_config", "FLOAT_FMT", "fmt"]
 
 # Fixed significant-digit format for every float written to CSV/JSON reports.
@@ -28,7 +30,7 @@ def fmt(x: float) -> str:
 class RunConfig:
     tol: float = 1e-6              # SDP solver accuracy target
     max_iter: int = 500            # SDP iteration cap
-    ball_cap: int = 500_000        # max elements any ball enumeration may hold
+    ball_cap: int = BALL_CAP       # max elements any ball enumeration may hold
     quad_factor: int = 4           # quadrature nodes per unit of degree: Q = quad_factor*(N+1)
     window_radius: int = 1         # ball radius for pointwise-convergence residuals
     success_residual: float = 0.01 # residual under which a convergence run is flagged SUCCESS

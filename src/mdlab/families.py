@@ -42,7 +42,9 @@ import numpy as np
 # 0.3 s and 15 MB resident on a 2-vCPU VM (BENCH_lazy_sparse.json).
 
 from mdlab.config import fmt
-from mdlab.groups import Ball, BallCapError, FreeGroup, GroupRealization, ZnGroup, build_ball
+from mdlab.groups import (
+    BALL_CAP, Ball, BallCapError, FreeGroup, GroupRealization, ZnGroup, build_ball,
+)
 from mdlab.multipliers import (
     GRID_NODE_CAP,
     Multiplier,
@@ -343,7 +345,7 @@ class TreeFamily:
     (empirical_bounds) runs on many parameters at once and builds no point.
     """
 
-    def __init__(self, rank: int = 2, radius: int = 6, *, cap: int = 500_000):
+    def __init__(self, rank: int = 2, radius: int = 6, *, cap: int = BALL_CAP):
         if radius < 3:
             raise FamilyError(f"ball radius must be >= 3 for the interior checks, got {radius}")
         if not 1 <= rank <= 26:

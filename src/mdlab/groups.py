@@ -33,10 +33,15 @@ from typing import Any, Callable, Iterable
 import numpy as np
 
 __all__ = [
-    "GroupError", "BallCapError",
+    "GroupError", "BallCapError", "BALL_CAP",
     "FreeGroup", "ZnGroup", "FiniteGroup", "SL2Z", "SL2ZSemidirect",
     "Ball", "build_ball", "gram_matrix", "load_group",
 ]
+
+# Most elements a ball may hold: the default of build_ball and of the run
+# configuration's ball_cap, and the cap on the BFS that word-length lookups
+# grow.
+BALL_CAP = 500_000
 
 
 class GroupError(ValueError):
@@ -69,9 +74,10 @@ class GroupRealization:
     gram_matrix reads radial multipliers through (there is no generic
     fallback).  Lookups take a limit the caller derives from its input, a
     radial multiplier's coefficient count: no length at or past it is ever
-    told apart, so the BFS searches no further than sphere limit - 1 and
-    every lookup has an answer.  Generating sets are symmetric (closed
-    under inverses) and never contain the identity.
+    told apart, so the BFS searches no further than sphere limit - 1.  A
+    lookup whose BFS would hold more than BALL_CAP elements raises
+    BallCapError instead.  Generating sets are symmetric (closed under
+    inverses) and never contain the identity.
     """
 
     kind: str = "?"
@@ -84,11 +90,12 @@ class GroupRealization:
 
     def word_length(self, a, limit: int) -> int:
         """min(BFS distance from the identity, limit), searching no further
-        than sphere limit - 1; overridden where a closed form exists."""
+        than sphere limit - 1 (BallCapError past BALL_CAP elements);
+        overridden where a closed form exists."""
         self.validate(a)
         # len(_layers) is the first sphere not yet in _lengths
         while a not in self._lengths and len(self._layers) < limit:
-            self._ensure_radius(len(self._layers))
+            self._ensure_radius(len(self._layers), BALL_CAP)
         return min(self._lengths.get(a, limit), limit)
 
     def pair_values(self, elements: list, f: Callable, dtype) -> np.ndarray:
@@ -558,7 +565,8 @@ class _SL2Rows(GroupRealization):
         All n^2 products come from one broadcast.  Each distinct product is
         found by a sorted search against the explored spheres, and the BFS
         grows one sphere at a time only until every product is found or
-        sphere limit - 1 is searched, as word_length does.
+        sphere limit - 1 is searched, as word_length does (BallCapError
+        past BALL_CAP elements).
         """
         for s in elements:
             self.validate(s)
@@ -580,7 +588,7 @@ class _SL2Rows(GroupRealization):
         found, r = 0, 0
         while found < len(codes) and r < limit:
             if r > self._explored_radius():
-                self._grow_one_sphere()
+                self._grow_one_sphere(BALL_CAP)
             sphere = self._spheres[r]
             # rows with an entry past M are no product, and have no code in base 2M + 1
             keys = _codes(sphere[np.abs(sphere).max(axis=1) <= M], M)
@@ -751,7 +759,7 @@ class Ball:
             w.writerow([i, self.group.element_to_string(x), self.lengths[i]])
 
 
-def build_ball(group: GroupRealization, radius: int, cap: int = 500_000) -> Ball:
+def build_ball(group: GroupRealization, radius: int, cap: int = BALL_CAP) -> Ball:
     """Enumerate the ball of the given radius over the group's generating set."""
     if radius < 0:
         raise GroupError(f"ball radius must be >= 0, got {radius}")

@@ -461,8 +461,9 @@ def _circle_grid(n: int, Q: int):
 
     angles() returns the (Q^n, n) angle rows, built on its first call and
     kept; w is the node weight; pi(m) = exp(-i m.theta) is the character on
-    the grid as a diagonal.  Symbol values come from _grid_trig_values (one
-    inverse FFT, O(Q^n log Q)), so the angle rows are built only when pi is
+    the grid as a diagonal.  Symbol values come from _grid_trig_values (an
+    inverse FFT over the occupied lines of the last axis, then over the
+    leading axes, O(Q^n log Q)), so the angle rows are built only when pi is
     evaluated or a density callable needs them.
 
     A grid over GRID_NODE_CAP nodes raises BallCapError before any array
@@ -487,16 +488,28 @@ def _circle_grid(n: int, Q: int):
 def _grid_trig_values(items, n: int, Q: int) -> np.ndarray:
     """sum_k c_k e^{i k.theta_q} over [(k, c_k)] on the uniform Q^n grid.
 
-    Each c_k is added into bin k mod Q of a (Q,)*n array, and one inverse
+    Each c_k is added into bin k mod Q of a (Q,)*n array, and an inverse
     FFT, scaled by Q^n, evaluates the polynomial at every node, raveled in
     the C order of _circle_grid's angle rows.  Sharing a bin is exact, since
-    e^{2 pi i k j/Q} = e^{2 pi i (k mod Q) j/Q}.  Cost O(Q^n log Q), whatever
-    the number of terms; callers check the grid cap first.
+    e^{2 pi i k j/Q} = e^{2 pi i (k mod Q) j/Q}.  The transform runs along
+    the last axis only on the lines that hold a coefficient (every other
+    line is zero and stays zero), then along the leading axes, last to
+    first as ifftn orders them, and is scaled in place, so the values are
+    ifftn's bit for bit and at most two Q^n arrays are alive at once.  Cost
+    O(Q^n log Q), whatever the number of terms; callers check the grid cap
+    first.
     """
     bins = np.array([[c % Q for c in k] for k, _ in items], dtype=np.int64)
-    coeffs = np.zeros((Q,) * n, dtype=complex)
-    np.add.at(coeffs, tuple(bins.T), np.array([v for _, v in items], dtype=complex))
-    return (Q ** n * np.fft.ifftn(coeffs)).ravel()
+    lines, slot = np.unique(bins[:, :-1], axis=0, return_inverse=True)
+    occupied = np.zeros((len(lines), Q), dtype=complex)
+    np.add.at(occupied, (slot.ravel(), bins[:, -1]),     # slot is 2-D on numpy 2.0.0
+              np.array([v for _, v in items], dtype=complex))
+    g = np.zeros((Q,) * n, dtype=complex)
+    g[tuple(lines.T)] = np.fft.ifft(occupied)
+    for axis in range(n - 2, -1, -1):
+        g = np.fft.ifft(g, axis=axis)
+    g *= Q ** n
+    return g.ravel()
 
 
 def circle_quadrature_certificate(group: ZnGroup, phi: Multiplier,
@@ -505,13 +518,16 @@ def circle_quadrature_certificate(group: ZnGroup, phi: Multiplier,
 
     phi determines the trigonometric polynomial
     g(theta) = sum_k phi(k) e^{i k.theta}, evaluated on the uniform Q^n grid
-    by one inverse FFT (_grid_trig_values, O(Q^n log Q)); the balanced split
+    by an inverse FFT over the occupied lines of the last axis, then over
+    the leading axes (_grid_trig_values, O(Q^n log Q)); the balanced split
     xi_q = conj(g_q) sqrt(w |g_q|) / |g_q| (0 where g_q = 0),
     eta_q = sqrt(w |g_q|) against the diagonal translation characters
     reproduces phi(m) = sum_q w g_q e^{-i m.theta_q} exactly (uniform
     quadrature is exact on trigonometric polynomials below the aliasing
     frequency), and the bound is the quadrature value of (2pi)^-n int |g|.
-    The angle rows are built only when pi is evaluated.
+    The angle rows are built only when pi is evaluated.  xi is built in the
+    grid's own buffer, and |g| is turned into the scale in place, so what is
+    held is xi and eta plus one real buffer, sqrt(w |g|).
 
     Aliasing limits exactness to max_i |m_i| <= Q - deg_i - 1, declared via
     window_member; the bound converges to the true density norm as Q grows.
@@ -530,12 +546,15 @@ def circle_quadrature_certificate(group: ZnGroup, phi: Multiplier,
     window = Q - max(degs) - 1
 
     _, w, pi = _circle_grid(n, Q)
-    g = _grid_trig_values(items, n, Q)
-    absg = np.abs(g)
-    root = np.sqrt(w * absg)
-    scale = np.divide(root, absg, out=np.zeros_like(root), where=absg > 0)
-    xi = g.conj()
+    xi = _grid_trig_values(items, n, Q)     # g, until conjugated and scaled
+    scale = np.abs(xi)                      # |g|, until divided into the scale
+    root = np.multiply(w, scale)
+    np.sqrt(root, out=root)
+    # where g = 0 the scale keeps |g| = 0
+    np.divide(root, scale, out=scale, where=scale > 0)
+    np.conjugate(xi, out=xi)
     xi *= scale
+    del scale                               # freed before eta is made
     eta = root.astype(complex)
 
     def in_window(m):

@@ -154,14 +154,19 @@ def psd_check(M: np.ndarray) -> tuple[bool, float]:
     """(is PSD up to 1e-10, smallest eigenvalue) for a Hermitian matrix.
 
     A complex matrix whose imaginary part is all zero goes to the real
-    symmetric eigensolver, which is several times faster.
+    symmetric eigensolver, which is several times faster.  An exactly
+    Hermitian M goes to the eigensolver as it is, with no n^2 copy; any
+    other is symmetrized as M/2 + M^H/2, which cannot overflow where
+    (M + M^H)/2 would near the float maximum.
     """
     M = np.asarray(M)
     if M.size == 0:
         return True, 0.0
     if np.iscomplexobj(M) and not np.any(M.imag):
         M = M.real
-    lam = float(np.linalg.eigvalsh((M + M.conj().T) / 2.0)[0])
+    if not np.array_equal(M, M.conj().T):
+        M = M / 2.0 + M.conj().T / 2.0
+    lam = float(np.linalg.eigvalsh(M)[0])
     return lam >= -_PSD_TOL, lam
 
 

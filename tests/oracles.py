@@ -172,7 +172,7 @@ def circle_characters_reference(thetas: np.ndarray):
     return lambda m: np.exp(-1j * (thetas @ np.asarray(m, dtype=float)))
 
 
-def grid_trig_values_reference(items, thetas: np.ndarray) -> np.ndarray:
+def character_sums_reference(items, thetas: np.ndarray) -> np.ndarray:
     """sum_k c_k e^{i k.theta} at each angle row, one complex exp per term."""
     vals = np.zeros(thetas.shape[0], dtype=complex)
     for t, v in items:
@@ -180,10 +180,33 @@ def grid_trig_values_reference(items, thetas: np.ndarray) -> np.ndarray:
     return vals
 
 
+def grid_trig_values_reference(items, n: int, Q: int) -> np.ndarray:
+    """sum_k c_k e^{i k.theta} on the uniform Q^n grid, in C order: each c_k
+    added into bin k mod Q of a full (Q,)*n array, then one ifftn over all
+    of it, scaled by Q^n."""
+    bins = np.array([[c % Q for c in k] for k, _ in items], dtype=np.int64)
+    coeffs = np.zeros((Q,) * n, dtype=complex)
+    np.add.at(coeffs, tuple(bins.T), np.array([v for _, v in items], dtype=complex))
+    return (Q ** n * np.fft.ifftn(coeffs)).ravel()
+
+
+def circle_quadrature_fft_reference(items, n: int, Q: int):
+    """(xi, eta) of the circle quadrature split from the ifftn grid, each
+    step a fresh array: scale = sqrt(w|g|)/|g| (0 where g = 0),
+    xi = conj(g) scale, eta = sqrt(w|g|)."""
+    g = grid_trig_values_reference(items, n, Q)
+    absg = np.abs(g)
+    root = np.sqrt(1.0 / (Q ** n) * absg)
+    scale = np.divide(root, absg, out=np.zeros_like(root), where=absg > 0)
+    xi = g.conj()
+    xi *= scale
+    return xi, root.astype(complex)
+
+
 def circle_quadrature_reference(items, n: int, Q: int):
     """(xi, eta) of the circle quadrature split built term by term:
     xi = conj(g/|g|) sqrt(w|g|), eta = sqrt(w|g|), by complex division."""
-    g = grid_trig_values_reference(items, circle_angles_reference(n, Q))
+    g = character_sums_reference(items, circle_angles_reference(n, Q))
     absg = np.abs(g)
     root = np.sqrt(1.0 / (Q ** n) * absg)
     phase = np.where(absg > 0, g / np.where(absg > 0, absg, 1.0), 0.0)

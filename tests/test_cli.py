@@ -284,7 +284,7 @@ class TestBracket:
         def refuse(*args, **kwargs):
             raise AssertionError("the Z^3 symbol values were computed")
 
-        monkeypatch.setattr(np.fft, "ifftn", refuse)
+        monkeypatch.setattr(np.fft, "ifft", refuse)
         assert main(self._z3_indicator(tmp_path)) == 3
         assert "resource cap" in capsys.readouterr().err
 
@@ -304,7 +304,7 @@ class TestBracket:
         def refuse(*args, **kwargs):
             raise AssertionError("a quadrature grid was built")
 
-        monkeypatch.setattr(np.fft, "ifftn", refuse)
+        monkeypatch.setattr(np.fft, "ifft", refuse)
         monkeypatch.setattr(np, "meshgrid", refuse)
         coeffs = [1.0] + [0.0] * (GRID_NODE_CAP // 4)     # Q = 4L > GRID_NODE_CAP
         phi_json = tmp_path / "long.json"

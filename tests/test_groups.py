@@ -557,6 +557,24 @@ class TestGramRoutes:
             assert M.tolist() == [[0.5, 0], [0, 0.5]]
             assert g._explored_radius() == 1
 
+    def test_lookups_past_the_ball_cap_raise(self, monkeypatch):
+        far = ((1, 10 ** 6), (0, 1))  # T^(10^6), past every sphere a lookup reads
+        monkeypatch.setattr(groups, "BALL_CAP", 10_000)
+        # 14 coefficients: the BFS stops at sphere 13, 6,372 elements
+        g = SL2Z()
+        M = gram_matrix(g, Multiplier.radial(g, [0.5] * 14), [g.identity, far])
+        assert M.tolist() == [[0.5, 0], [0, 0.5]]
+        assert g.word_length(far, 14) == 14
+        # 17 coefficients would need sphere 16, 27,044 elements
+        for lookup in (lambda g: gram_matrix(g, Multiplier.radial(g, [0.5] * 17),
+                                             [g.identity, far]),
+                       lambda g: g.word_length(far, 17)):
+            g = SL2Z()
+            with pytest.raises(BallCapError, match="cap 10000"):
+                lookup(g)
+            # the BFS stopped at the first sphere that took it past the cap
+            assert sum(map(len, g._spheres[:-1])) <= 10_000 < sum(map(len, g._spheres))
+
     def test_finite_radial_past_the_last_coefficient_reads_zero(self):
         cyclic = [[(i + j) % 40 for j in range(40)] for i in range(40)]
         for gram in (gram_matrix_reference, gram_matrix):

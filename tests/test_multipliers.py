@@ -6,6 +6,7 @@ import io
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -59,8 +60,10 @@ from mdlab.multipliers import (
 )
 
 from oracles import (
+    character_sums_reference,
     circle_angles_reference,
     circle_characters_reference,
+    circle_quadrature_fft_reference,
     circle_quadrature_reference,
     grid_trig_values_reference,
     indicator01_circle_integral,
@@ -205,8 +208,50 @@ def random_support(rng, n: int, reach: int, terms: int) -> dict:
             complex(*rng.normal(size=2)) for _ in range(terms)}
 
 
+def grid_supports(rng, n: int, Q: int) -> list:
+    """Seeded supports on Z^n as sorted items: random terms with negative
+    coordinates that wrap and two terms in one bin, a single term, and one
+    term on every line of the last axis."""
+    shared = random_support(rng, n, reach=2 * Q, terms=8)
+    k = next(iter(shared))
+    twin = k[:-1] + (k[-1] - Q,)                  # bin k mod Q taken twice
+    shared[twin] = shared.get(twin, 0) + 0.5 - 0.25j
+    one = random_support(rng, n, reach=Q, terms=1)
+    lead = range(-(Q // 2), Q - Q // 2)           # every residue mod Q
+    every_line = {line + (int(rng.integers(-Q, Q)),): complex(*rng.normal(size=2))
+                  for line in itertools.product(lead, repeat=n - 1)}
+    return [sorted(s.items()) for s in (shared, one, every_line)]
+
+
 class TestGridTrigValues:
-    """The one-FFT symbol values against the per-term complex exponentials."""
+    """The occupied-line FFT against the full ifftn and against the per-term
+    complex exponentials."""
+
+    @pytest.mark.parametrize("n,Q", [(1, 7), (1, 512), (2, 5), (2, 64), (3, 4), (3, 9)])
+    def test_occupied_lines_match_the_full_ifftn_bit_for_bit(self, n, Q):
+        rng = np.random.default_rng(100 * n + Q)
+        thetas = circle_angles_reference(n, Q)
+        for items in grid_supports(rng, n, Q):
+            got = multipliers._grid_trig_values(items, n, Q)
+            assert np.array_equal(got, grid_trig_values_reference(items, n, Q))
+            scale = sum(abs(v) for _, v in items)
+            assert np.max(np.abs(got - character_sums_reference(items, thetas))) <= 1e-12 * scale
+
+    def test_z2_certificate_holds_xi_eta_and_one_real_buffer(self):
+        Q = 512
+        phi = Multiplier.finite(Z2, {(0, 0): 1.0, (1, 0): 0.25, (-1, 0): 0.25,
+                                     (0, 1): 0.25, (0, -1): 0.25})
+        circle_quadrature_certificate(Z2, phi, Q=Q)   # FFT plans made outside the trace
+        tracemalloc.start()
+        try:
+            cert = circle_quadrature_certificate(Z2, phi, Q=Q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # xi and eta take 16 Q^2 bytes each, sqrt(w |g|) half that
+        assert peak <= 2.75 * 16 * Q ** 2
+        xi, eta = circle_quadrature_fft_reference(phi.support_items(), 2, Q)
+        assert np.array_equal(cert.xi, xi) and np.array_equal(cert.eta, eta)
 
     @pytest.mark.parametrize("n,Q", [(1, 8), (1, 7), (2, 6), (2, 5), (3, 4)])
     def test_matches_the_per_term_sum_even_when_terms_share_a_bin(self, n, Q):
@@ -218,7 +263,7 @@ class TestGridTrigValues:
             support[shifted] = support.get(shifted, 0) + 0.5 - 0.25j
             items = sorted(support.items())
             got = multipliers._grid_trig_values(items, n, Q)
-            want = grid_trig_values_reference(items, circle_angles_reference(n, Q))
+            want = character_sums_reference(items, circle_angles_reference(n, Q))
             scale = sum(abs(v) for _, v in items)
             assert got.shape == (Q ** n,)
             assert np.max(np.abs(got - want)) <= 1e-13 * scale
@@ -294,7 +339,7 @@ class TestGridTrigValues:
         assert calls == [(5, 1, 64), (7, 1, 64)]
         thetas = circle_angles_reference(1, 64)
         items = [((0,), 1.0), ((1,), 0.3), ((-1,), 0.3), ((2,), 0.1), ((-2,), 0.1)]
-        h = grid_trig_values_reference(items, thetas).real
+        h = character_sums_reference(items, thetas).real
         want = float(np.linalg.norm(np.sqrt(1.0 / 64 * h)) ** 2)
         assert abs(cert.bound(2) - want) <= 4 * np.spacing(want)
 

@@ -209,6 +209,9 @@ def test_psd_check():
     assert ok and lam == pytest.approx(1.0)
     bad, lam2 = psd_check(np.diag([1.0, -0.5]))
     assert not bad and lam2 == pytest.approx(-0.5)
+    # (M + M^H)/2 would overflow here; an exactly Hermitian M is not symmetrized
+    assert psd_check(np.diag([1e308, 1.0])) == (True, 1.0)
+    assert psd_check(np.array([[1e308, 1e308], [-1e308, 1.0]])) == (True, 1.0)
 
 
 @pytest.mark.parametrize("group,radius", [(ZnGroup(2), 6), (FreeGroup(2), 4)])
@@ -223,15 +226,17 @@ def test_psd_check_on_real_data_matches_the_complex_solver(group, radius, monkey
         eigvalsh = np.linalg.eigvalsh
 
         def spy(M):
-            seen.append(M.dtype)
+            seen.append((M.dtype, np.shares_memory(M, G)))
             return eigvalsh(M)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", spy)
         ok, lam = psd_check(G)
         monkeypatch.undo()
-        assert seen == [np.float64]
+        # the exactly symmetric real part goes to the solver with no copy
+        assert seen == [(np.float64, True)]
         assert ok == (want >= -1e-10)
         assert abs(lam - want) <= 1e-12 * max(1.0, abs(want))
+        assert lam == float(np.linalg.eigvalsh((G.real + G.real.T) / 2.0)[0])
 
 
 def test_psd_check_keeps_complex_hermitian_input_complex():
