@@ -141,10 +141,10 @@ def _read_matrix_any(path: str):
 
 
 # Largest row or column count `mdlab schur` solves.  Measured on seeded n x n
-# Gaussians with 2 vCPUs: 8.2 s real and 13.5 s complex at n = 400 (four
-# Newton steps each), against 4.3 s and 5.2 s at n = 300.  Symmetric input is
-# solved on a = b: at n = 400, a real A + A^T takes 4.4 s and a complex C + C*
-# 8.2 s.
+# Gaussians with 2 vCPUs, one run each including the CSV read: 6.8 s real and
+# 12.0 s complex at n = 400.  Symmetric input is solved on a = b, with one
+# eigh per trial point while the weights stay near uniform: at n = 400, a
+# real A + A^T takes 2.2 s (5 Newton steps) and a complex C + C* 4.3 s (4).
 SCHUR_SIZE_CAP = 400
 
 

@@ -277,6 +277,37 @@ class ZnGroup(GroupRealization):
         self.validate(a)
         return min(sum(abs(x) for x in a), limit)
 
+    def _coords(self, elements: list) -> np.ndarray:
+        """The validated elements as one row of coordinates each: int64 when
+        a sum of n coordinate differences fits, Python ints (object) else."""
+        for s in elements:
+            self.validate(s)
+        bound = max((abs(x) for s in elements for x in s), default=0)
+        dtype = np.int64 if 2 * bound * self.n < 2 ** 63 else object
+        return np.array(elements, dtype=dtype).reshape(len(elements), self.n)
+
+    def pair_values(self, elements: list, f: Callable, dtype) -> np.ndarray:
+        """Matrix f(s_i^-1 s_j) with f evaluated once per distinct difference.
+
+        The differences s_j - s_i come from one broadcast, exact at every
+        size as in pair_lengths.  They are numbered one coordinate at a
+        time, each step renumbering (number so far, coordinate) pairs
+        densely, so the numbers stay below n^2.  f sees each distinct
+        difference once, as the tuple of Python ints that multiply gives.
+        """
+        n = len(elements)
+        coords = self._coords(elements)
+        diff = (coords[None, :, :] - coords[:, None, :]).reshape(n * n, self.n)
+        code = np.zeros(n * n, dtype=np.int64)
+        for col in diff.T:
+            digit = np.unique(col, return_inverse=True)[1]
+            code = np.unique(code * (digit.max(initial=0) + 1) + digit,
+                             return_inverse=True)[1]
+        first, where = np.unique(code, return_index=True, return_inverse=True)[1:]
+        values = np.fromiter((f(tuple(d)) for d in diff[first].tolist()),
+                             dtype=dtype, count=first.size)
+        return values[where].reshape(n, n)
+
     def pair_lengths(self, elements: list, limit: int) -> np.ndarray:
         """L1 norms of all coordinate differences, by broadcasting, clipped
         at limit.
@@ -284,13 +315,9 @@ class ZnGroup(GroupRealization):
         Coordinates too large for int64 differences are summed as Python
         integers (object dtype), so lengths are exact at every size.
         """
-        for s in elements:
-            self.validate(s)
         n = len(elements)
-        bound = max((abs(x) for s in elements for x in s), default=0)
-        dtype = np.int64 if 2 * bound * self.n < 2 ** 63 else object
-        coords = np.array(elements, dtype=dtype).reshape(n, self.n)
-        L = np.zeros((n, n), dtype=dtype)
+        coords = self._coords(elements)
+        L = np.zeros((n, n), dtype=coords.dtype)
         for col in coords.T:
             diff = col[None, :] - col[:, None]
             L += np.abs(diff, out=diff)
@@ -788,7 +815,7 @@ def gram_matrix(group: GroupRealization, phi: Callable, elements: list) -> np.nd
     clipped at the coefficient count, which each realization computes for
     all pairs at once (pair_lengths).  Any other phi goes through
     pair_values: once per distinct product on a finite group, once per
-    pair elsewhere.
+    distinct difference on Z^n, once per pair elsewhere.
     """
     elements = list(elements)
     if getattr(phi, "kind", None) == "radial" and getattr(phi, "group", None) is group:

@@ -594,6 +594,28 @@ class TestGramRoutes:
         window = [(big, 0), (big, 1), (-big, 3), (0, 0)]
         assert_same_gram(g, Multiplier.radial(g, [1.0, 0.5, 0.25]), window)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("far", [False, True], ids=["int64", "beyond-int64"])
+    def test_zn_calls_phi_once_per_difference(self, n, far):
+        g = ZnGroup(n)
+        window = build_ball(g, 2).elements
+        if far:     # differences up to 2^71 in modulus: Python ints
+            big = 2 ** 70
+            window += [(big,) + (1,) * (n - 1), (-big,) * n, (big,) * n]
+        calls = []
+
+        def phi(t):
+            calls.append(t)
+            return (sum(t) % 11 + 1j * len(repr(t))) ** 0.5
+
+        got = gram_matrix(g, phi, window)
+        differences = {g.multiply(g.inverse(s), t) for s in window for t in window}
+        assert len(calls) == len(set(calls)) == len(differences)
+        assert set(calls) == differences
+        assert all(type(x) is int for t in calls for x in t)
+        want = gram_matrix_reference(g, phi, window)
+        assert got.tobytes() == want.tobytes()
+
     def test_malformed_elements_raise_group_errors(self):
         for g, window in ((ZnGroup(2), [(0, 0), (1, 2, 3)]),
                           (FreeGroup(2), [(1, -1), ()]),
