@@ -20,7 +20,7 @@ import os
 import sys
 import tempfile
 
-from mdlab.config import DEFAULTS, RunConfig, fmt, resolve_config
+from mdlab.config import RunConfig, fmt, resolve_config
 from mdlab.groups import (
     BallCapError,
     FreeGroup,
@@ -154,8 +154,8 @@ def cmd_schur(args, cfg: RunConfig) -> int:
         raise BallCapError(f"schur: {A.shape[0]} x {A.shape[1]} matrix exceeds "
                            f"the size cap {SCHUR_SIZE_CAP}")
     # the value is printed to 6 decimals; the config default (1e-6) sits at
-    # print precision, so tighten unless the user chose a tolerance
-    tol = cfg.tol if cfg.tol != DEFAULTS.tol else 1e-8
+    # print precision, so tighten unless --tol or MDLAB_TOL set a tolerance
+    tol = cfg.tol if args.tol is not None or "MDLAB_TOL" in os.environ else 1e-8
     sol = schur_norm(A, tol=tol, max_iter=cfg.max_iter)
     lines = [cfg.header_line(),
              f"# value={fmt(sol.value)} lower={fmt(sol.lower_bound)} "

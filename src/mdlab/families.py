@@ -300,6 +300,9 @@ CHUNK_NNZ = 1 << 17
 # builds, 4 GiB: coefficient_residual on F2 holds 172M entries at R = 9 and
 # 1.55G at R = 10
 DENSE_CHECK_CAP = 1 << 28
+# largest coefficient residual, and unitarity residual at real parameters,
+# that run_contract_checks accepts
+CONTRACT_TOL = 1e-8
 
 
 def _check_dense(rows: int, cols: int, what: str) -> None:
@@ -789,13 +792,14 @@ class TreeFamilyPoint:
             "cr_ratio": cr_ratio,
         }
 
-    def run_contract_checks(self, tol: float = 1e-8) -> dict:
+    def run_contract_checks(self) -> dict:
         """Enforce the construction contract; FamilyError lists what failed.
 
-        Coefficient reproduction is required everywhere, orthogonality only
-        at real parameters, and the difference-quotient ratio must sit near
-        the analytic value 4.
+        Coefficient reproduction to CONTRACT_TOL is required everywhere,
+        orthogonality to CONTRACT_TOL only at real parameters, and the
+        difference-quotient ratio must sit near the analytic value 4.
         """
+        tol = CONTRACT_TOL
         checks = self.contract_checks()
         failures = []
         if checks["coefficient_residual"] > tol:

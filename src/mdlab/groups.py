@@ -283,27 +283,23 @@ class ZnGroup(GroupRealization):
         for s in elements:
             self.validate(s)
         bound = max((abs(x) for s in elements for x in s), default=0)
-        dtype = np.int64 if 2 * bound * self.n < 2 ** 63 else object
+        dtype = _exact_dtype(2 * bound * self.n)
         return np.array(elements, dtype=dtype).reshape(len(elements), self.n)
 
     def pair_values(self, elements: list, f: Callable, dtype) -> np.ndarray:
         """Matrix f(s_i^-1 s_j) with f evaluated once per distinct difference.
 
         The differences s_j - s_i come from one broadcast, exact at every
-        size as in pair_lengths.  They are numbered one coordinate at a
-        time, each step renumbering (number so far, coordinate) pairs
-        densely, so the numbers stay below n^2.  f sees each distinct
-        difference once, as the tuple of Python ints that multiply gives.
+        size as in pair_lengths, and are numbered by their row codes
+        (_codes), as SL(2,Z) numbers its products.  f sees each distinct
+        difference once, in lexicographic order, as the tuple of Python
+        ints that multiply gives.
         """
         n = len(elements)
         coords = self._coords(elements)
         diff = (coords[None, :, :] - coords[:, None, :]).reshape(n * n, self.n)
-        code = np.zeros(n * n, dtype=np.int64)
-        for col in diff.T:
-            digit = np.unique(col, return_inverse=True)[1]
-            code = np.unique(code * (digit.max(initial=0) + 1) + digit,
-                             return_inverse=True)[1]
-        first, where = np.unique(code, return_index=True, return_inverse=True)[1:]
+        first, where = np.unique(_codes(diff, _bound(diff)), return_index=True,
+                                 return_inverse=True)[1:]
         values = np.fromiter((f(tuple(d)) for d in diff[first].tolist()),
                              dtype=dtype, count=first.size)
         return values[where].reshape(n, n)
@@ -523,9 +519,11 @@ def _bound(rows: np.ndarray) -> int:
 
 def _codes(rows: np.ndarray, M: int) -> np.ndarray:
     """One integer per row with entries in [-M, M], ordered as the rows are
-    lexicographically: the digits of the row in base 2M + 1."""
+    lexicographically: the digits of the row in base 2M + 1, int64 when
+    every code of the row width fits, Python ints (object) else.  Z^n
+    differences and SL(2,Z) products are numbered by these codes."""
     base = 2 * M + 1
-    dtype = _exact_dtype(base ** 6 - 1)
+    dtype = _exact_dtype(base ** rows.shape[1] - 1)
     code = np.zeros(len(rows), dtype=dtype)
     for col in rows.T:
         code = code * base + (col.astype(dtype) + M)
@@ -564,9 +562,9 @@ class _SL2Rows(GroupRealization):
 
     def _grow_one_sphere(self, cap: int | None = None) -> None:
         spheres = self._spheres
-        frontier, gens = spheres[-1], self._generator_rows
-        if 3 * _bound(frontier) > _INT64_MAX:
-            frontier, gens = frontier.astype(object), gens.astype(object)
+        dtype = _exact_dtype(3 * _bound(spheres[-1]))
+        frontier = spheres[-1].astype(dtype, copy=False)
+        gens = self._generator_rows.astype(dtype, copy=False)
         candidates = _on_rows(_law_product, frontier[:, None], gens[None, :]).reshape(-1, 6)
         # a neighbour of sphere r lies in sphere r - 1, r or r + 1
         old = spheres[-2:]

@@ -44,7 +44,7 @@ from mdlab.groups import (
 from mdlab.schur import is_symmetric, schur_norm
 
 __all__ = [
-    "WINDOW_CAP", "GRID_NODE_CAP", "MultiplierError", "CertificateError",
+    "WINDOW_CAP", "GRID_NODE_CAP", "VERIFY_CAP", "MultiplierError", "CertificateError",
     "Multiplier", "complex_from_json", "name_from_json",
     "MatrixRepCertificate", "LatticeShiftCertificate", "CertificateReport",
     "certificate_from_unitary_rep", "certificate_from_bounded_rep",
@@ -75,6 +75,9 @@ WINDOW_CAP = 66
 # temporaries, and angle rows once pi is evaluated), so Z^2 at Q = 512
 # (262,144 nodes) fits and Z^3 at Q = 512 (134M nodes, over 8 GB) is refused.
 GRID_NODE_CAP = 1 << 20
+
+# Most d-tuples verify_certificate walks.
+VERIFY_CAP = 200_000
 
 
 class MultiplierError(ValueError):
@@ -567,11 +570,12 @@ def circle_quadrature_certificate(group: ZnGroup, phi: Multiplier,
 
 def _density_certificate(group: ZnGroup, h: np.ndarray, w: float,
                          pi: Callable) -> MatrixRepCertificate:
-    """xi = eta = sqrt(w h) for density values h on a _circle_grid grid."""
+    """xi = eta = sqrt(w h) for density values h on a _circle_grid grid, one
+    array held as both."""
     if h.min() < -1e-12:
         raise CertificateError(f"density takes value {h.min()}; must be >= 0")
     root = np.sqrt(w * np.clip(h, 0.0, None)).astype(complex)
-    return MatrixRepCertificate(group=group, pi=pi, xi=root.copy(), eta=root,
+    return MatrixRepCertificate(group=group, pi=pi, xi=root, eta=root,
                                 pi_norm=1.0, pi_provenance="unitary", kind="density")
 
 
@@ -674,10 +678,9 @@ class CertificateReport:
         return self.checked > 0 and self.max_residual <= tol
 
 
-def verify_certificate(phi: Callable, cert, elements, d: int = 2,
-                       cap: int = 200_000) -> CertificateReport:
+def verify_certificate(phi: Callable, cert, elements, d: int = 2) -> CertificateReport:
     """Recompute phi(t_1...t_d) as the certificate's d-fold product, for
-    every d-tuple of elements; more than cap tuples is a ValueError.
+    every d-tuple of elements; more than VERIFY_CAP tuples is a ValueError.
 
     Walks actual products of the certificate's maps (matrix chains or set
     translations), never the shortcut phi = coefficient, so a certificate
@@ -688,8 +691,9 @@ def verify_certificate(phi: Callable, cert, elements, d: int = 2,
     elements = list(elements)
     if not elements:
         raise ValueError("no elements to verify on")
-    if len(elements) ** d > cap:
-        raise ValueError(f"{len(elements)}^{d} tuples exceed the verification cap {cap}")
+    if len(elements) ** d > VERIFY_CAP:
+        raise ValueError(f"{len(elements)}^{d} tuples exceed the verification cap "
+                         f"{VERIFY_CAP}")
     max_res = 0.0
     checked = 0
     skipped = 0

@@ -16,12 +16,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from mdlab import families
+from mdlab import cli, families
 from mdlab.cli import SCHUR_SIZE_CAP, main
 from mdlab.groups import ZnGroup
 from mdlab.families import fejer_multiplier
 from mdlab.multipliers import GRID_NODE_CAP, read_brackets_csv
-from mdlab.schur import write_matrix_binary
+from mdlab.schur import schur_norm, write_matrix_binary
 
 from oracles import indicator01_circle_integral
 from strategies import (
@@ -154,6 +154,28 @@ class TestSchur:
         m = tmp_path / "bad.csv"
         m.write_text("1,frog\n2\n")
         assert main(["schur", "--matrix", str(m), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("flags,env,want", [
+        ([], None, 1e-8),           # the default is tightened past print precision
+        (["--tol", "1e-6"], None, 1e-6),
+        ([], "1e-6", 1e-6),
+    ], ids=["unset", "flag", "env"])
+    def test_a_chosen_tolerance_reaches_the_solver(self, tmp_path, monkeypatch,
+                                                   flags, env, want):
+        m = tmp_path / "a.csv"
+        m.write_text("1,2\n0,1\n")
+        monkeypatch.delenv("MDLAB_TOL", raising=False)
+        if env is not None:
+            monkeypatch.setenv("MDLAB_TOL", env)
+        seen = []
+
+        def spy(A, tol, max_iter):
+            seen.append(tol)
+            return schur_norm(A, tol=tol, max_iter=max_iter)
+
+        monkeypatch.setattr(cli, "schur_norm", spy)
+        assert main(["schur", "--matrix", str(m), "--out", str(tmp_path)] + flags) == 0
+        assert seen == [want]
 
 
 # the exit codes malformed input may end with: success, validation, resource cap

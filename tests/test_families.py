@@ -357,7 +357,7 @@ class TestTreePoint:
         assert pt.unitarity_residual() > 1e-3
 
     def test_contract_enforcement_at_real_parameter(self):
-        checks = FAM4.point(0.7).run_contract_checks(tol=1e-8)
+        checks = FAM4.point(0.7).run_contract_checks()
         assert checks["coefficient_residual"] < 1e-12
         assert checks["unitarity_residual"] < 1e-12
         assert 3.5 <= checks["cr_ratio"] <= 4.5

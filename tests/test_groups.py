@@ -305,6 +305,35 @@ def test_python_int_bfs_matches_the_int64_route(cls, radius, int64_max, monkeypa
             == [fast.word_length(x, radius + 1) for x in fast_ball.elements])
 
 
+def _largest_int64_digit_bound(width):
+    """The largest M with (2M + 1)^width - 1 <= 2^63 - 1."""
+    base = int(round(2 ** (63 / width)))
+    while base ** width > 2 ** 63:
+        base -= 1
+    while (base + 1) ** width <= 2 ** 63:
+        base += 1
+    return (base - 1) // 2
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 6])
+def test_row_codes_order_rows_and_stay_exact(width):
+    M = _largest_int64_digit_bound(width)
+    assert (2 * M + 1) ** width - 1 <= groups._INT64_MAX < (2 * M + 3) ** width - 1
+    rng = np.random.default_rng(width)
+    for bound, dtype in ((M, np.int64), (M + 1, object)):
+        rows = rng.integers(-bound, bound, size=(40, width), endpoint=True)
+        corners = np.array(list(itertools.product((-bound, 0, bound), repeat=width)))
+        rows = np.concatenate([rows, corners, rows[:5]])
+        codes = groups._codes(rows, bound)
+        assert codes.dtype == dtype
+        keys = codes.tolist()
+        # the base 2M + 1 digits, computed in Python ints: no code wrapped
+        assert keys == [sum((x + bound) * (2 * bound + 1) ** (width - 1 - k)
+                            for k, x in enumerate(row)) for row in rows.tolist()]
+        order = sorted(range(len(rows)), key=keys.__getitem__)
+        assert [tuple(rows[i].tolist()) for i in order] == sorted(map(tuple, rows.tolist()))
+
+
 sl2_words = st.lists(st.integers(0, 3), min_size=0, max_size=8)
 
 # exponents past int64, so products hold entries no int64 can
@@ -594,11 +623,12 @@ class TestGramRoutes:
         window = [(big, 0), (big, 1), (-big, 3), (0, 0)]
         assert_same_gram(g, Multiplier.radial(g, [1.0, 0.5, 0.25]), window)
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 30])
     @pytest.mark.parametrize("far", [False, True], ids=["int64", "beyond-int64"])
     def test_zn_calls_phi_once_per_difference(self, n, far):
         g = ZnGroup(n)
-        window = build_ball(g, 2).elements
+        # radius 1 on Z^30: 61 elements, whose codes in base 5 pass int64
+        window = build_ball(g, 1 if n == 30 else 2).elements
         if far:     # differences up to 2^71 in modulus: Python ints
             big = 2 ** 70
             window += [(big,) + (1,) * (n - 1), (-big,) * n, (big,) * n]
@@ -610,11 +640,19 @@ class TestGramRoutes:
 
         got = gram_matrix(g, phi, window)
         differences = {g.multiply(g.inverse(s), t) for s in window for t in window}
-        assert len(calls) == len(set(calls)) == len(differences)
-        assert set(calls) == differences
+        assert calls == sorted(differences)
         assert all(type(x) is int for t in calls for x in t)
         want = gram_matrix_reference(g, phi, window)
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_zn_coordinates_are_int64_while_every_difference_sum_fits(self, n):
+        g = ZnGroup(n)
+        X = groups._INT64_MAX // (2 * n)     # the largest X with 2 X n <= 2^63 - 1
+        for bound, dtype in ((X, np.int64), (X + 1, object)):
+            window = [(bound,) + (0,) * (n - 1), (-bound,) * n, g.identity]
+            assert g._coords(window).dtype == dtype
+            assert_same_gram(g, lambda t: complex(sum(t) % 7, len(repr(t))), window)
 
     def test_malformed_elements_raise_group_errors(self):
         for g, window in ((ZnGroup(2), [(0, 0), (1, 2, 3)]),

@@ -355,6 +355,26 @@ class TestDensityCertificate:
         assert cert.bound(2) == pytest.approx(1.0, abs=1e-12)
         assert cert.bound(5) == cert.bound(2)
 
+    def test_both_routes_hold_one_array_as_xi_and_eta(self):
+        dens = lambda th: 2.0 + np.cos(th[:, 0])
+        for cert in (density_quadrature_certificate(Z, dens, Q=64),
+                     radial_density_certificate(Z, Multiplier.radial(Z, [1.0, 0.3]))):
+            assert cert.xi is cert.eta
+
+    def test_density_certificate_holds_one_complex_array(self):
+        Q = 1 << 16
+        dens = lambda th: 2.0 + np.cos(th[:, 0])
+        tracemalloc.start()
+        try:
+            cert = density_quadrature_certificate(Z, dens, Q=Q)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # sqrt(w h) takes 16 Q bytes, held as both xi and eta; the grid's
+        # angle rows half that
+        assert held <= 2 * 16 * Q
+        assert cert.bound(2) == pytest.approx(2.0, rel=1e-12)
+
     def test_rejects_negative_density(self):
         dens = lambda th: np.cos(th[:, 0])
         with pytest.raises(CertificateError):
@@ -419,7 +439,7 @@ class TestFolner:
         phi = folner_multiplier(group, k)
         cert = folner_certificate(group, k)
         elements = [(i, j) for i in range(-2, 3) for j in range(-2, 3)]
-        rep = verify_certificate(phi, cert, elements, d=3, cap=200_000)
+        rep = verify_certificate(phi, cert, elements, d=3)
         assert rep.max_residual < 1e-15
 
     def test_approximants(self):
@@ -479,6 +499,14 @@ class TestRepCertificates:
         cert = constant_certificate(Z, 2.5 - 1j)
         assert abs(cert.coefficient((7,)) - (2.5 - 1j)) < 1e-15
         assert cert.bound(4) == pytest.approx(abs(2.5 - 1j))
+
+    def test_verification_past_the_cap_raises(self, monkeypatch):
+        cert = constant_certificate(Z, 1.0)
+        elements = [(m,) for m in range(5)]
+        monkeypatch.setattr(multipliers, "VERIFY_CAP", 25)
+        assert verify_certificate(lambda t: 1.0, cert, elements, d=2).checked == 25
+        with pytest.raises(ValueError, match="5\\^3 tuples exceed the verification cap 25"):
+            verify_certificate(lambda t: 1.0, cert, elements, d=3)
 
     def test_verify_catches_wrong_certificate(self):
         phi = indicator01()
